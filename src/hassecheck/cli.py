@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .hasse import classify_pgl2, enumerate_subgroups, is_hasse, lemma31_check
+from .hasse import LATTICE_BOUND, classify_pgl2, enumerate_subgroups, is_hasse, lemma31_check
 from .lmfdb import DataSource, fetch_form, from_env, query_candidates
 from .matgrp import MatrixGroup, projectivize, standard_constructors
 from .pipeline import (
@@ -81,7 +81,7 @@ def build_parser() -> _Parser:
 
     e = sub.add_parser("enumerate-hasse", help="all Hasse subgroups of PGL2(F_ell) up to conjugacy")
     e.add_argument("--ell", type=int, required=True)
-    e.add_argument("--bound", type=int, default=1320)
+    e.add_argument("--bound", type=int, default=LATTICE_BOUND)
 
     a = sub.add_parser("analyze", help="two-ideal mod-ell image analysis and verdict for one label")
     a.add_argument("--label", required=True)
@@ -209,7 +209,7 @@ def _cmd_scan(args) -> int:
         labels=args.labels,
         jobs=args.jobs,
     )
-    cfg = _config(args, level_max=args.level_max, jobs=args.jobs, filters=filters)
+    cfg = _config(args, level_max=args.level_max, filters=filters)
     if args.format == "json":
         doc = {"config": cfg, "rows": rows}
         if args.check_reference:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .ffield import FieldElement, factorize
+from .ffield import FieldElement, factorize, primitive_root
 
 
 class EmbeddingError(ValueError):
@@ -135,8 +135,6 @@ class FpEmbedding:
             return
         if (ell - 1) % m:
             raise EmbeddingError(f"F_{ell} has no element of order {m}")
-        from .matgrp import primitive_root
-
         g = FieldElement(primitive_root(ell), ell)
         self.zeta = g ** ((ell - 1) // m)
 

@@ -296,3 +296,12 @@ def mul_order(x) -> int:
         while order % q == 0 and is_one(x ** (order // q)):
             order //= q
     return order
+
+
+def primitive_root(p: int) -> int:
+    if p == 2:
+        return 1
+    for g in range(2, p):
+        if mul_order(FieldElement(g, p)) == p - 1:
+            return g
+    raise ValueError("no primitive root found")

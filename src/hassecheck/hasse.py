@@ -24,8 +24,12 @@ from .matgrp import (
     mat_identity,
     Matrix,
     point_canonical,
+    proj_canonical,
     projectivize,
 )
+
+# Largest ambient group enumerate_subgroups accepts: |PGL2(F_11)|.
+LATTICE_BOUND = 1320
 
 
 @dataclass(frozen=True)
@@ -127,24 +131,8 @@ class Pgl2Classification:
         }
 
 
-def _proj_orders(group: ProjGroup) -> dict[tuple, int]:
-    return {elt: group.element_order(elt) for elt in group.elements}
-
-
-def _is_abelian(group: ProjGroup) -> bool:
-    elems = sorted(group.elements)
-    for i, a in enumerate(elems):
-        for b in elems[i + 1 :]:
-            if group.mul(a, b) != group.mul(b, a):
-                return False
-    return True
-
-
 def _cyclic_subgroup(group: ProjGroup, g: tuple) -> frozenset:
-    ident = tuple(mat_identity(group.dim))
-    from .matgrp import proj_canonical
-
-    ident = proj_canonical(ident, group.modulus)
+    ident = proj_canonical(mat_identity(group.dim), group.modulus)
     out = {ident}
     x = g
     while x != ident:
@@ -167,8 +155,6 @@ def _dihedral_structure(group: ProjGroup, orders: dict):
         if og != n:
             continue
         cyc = _cyclic_subgroup(group, g)
-        if len(cyc) != n:
-            continue
         ginv = group.inv(g)
         for r in group.elements:
             if r in cyc or orders[r] != 2:
@@ -248,15 +234,12 @@ def classify_pgl2(group: ProjGroup) -> Pgl2Classification:
         raise ValueError("classify_pgl2 expects a dim-2 projective group")
     p = group.modulus
     size = group.order()
-    orders = _proj_orders(group)
+    orders = {elt: len(_cyclic_subgroup(group, elt)) for elt in group.elements}
     order_multiset = tuple(sorted(orders.values()))
+    det_values = _proj_det_values(group)
 
-    cyclic_n = None
     dihedral_n = None
-    if size == max(orders.values()) and _is_abelian(group):
-        # cyclic iff some element has full order
-        if any(o == size for o in orders.values()):
-            cyclic_n = size
+    cyclic_n = size if size in orders.values() else None
 
     label = None
     if cyclic_n is not None:
@@ -269,7 +252,7 @@ def classify_pgl2(group: ProjGroup) -> Pgl2Classification:
         full = p * (p * p - 1)
         if size == full:
             label = "pgl2"
-        elif size == full // 2 and _proj_det_values(group) == {1}:
+        elif size == full // 2 and det_values == {1}:
             label = "psl2"
         elif size == 12 and set(orders.values()) <= {1, 2, 3}:
             label = "A4"
@@ -283,33 +266,15 @@ def classify_pgl2(group: ProjGroup) -> Pgl2Classification:
             label = "other"
 
     pair = _pair_stabilized(group)
-    det_surjective = _proj_det_values(group) == {1, -1}
+    det_surjective = det_values == {1, -1}
 
-    # index-2 rotation subgroup and its fixed points (dihedral groups only)
-    rotation_fixes = False
-    if dihedral_n is not None:
-        n = dihedral_n
-        candidates = []
-        if n == 2:
-            # Klein: each of the three C2's is an index-2 cyclic subgroup
-            candidates = [
-                _cyclic_subgroup(group, g) for g, o in orders.items() if o == 2
-            ]
-        else:
-            for g, o in orders.items():
-                if o == n:
-                    candidates = [_cyclic_subgroup(group, g)]
-                    break
-        for cyc in candidates:
-            common: set | None = None
-            for elt in cyc:
-                pts = _element_fixed_points(elt, 2, p)
-                common = pts if common is None else common & pts
-                if not common:
-                    break
-            if common:
-                rotation_fixes = True
-                break
+    # Does an index-2 cyclic (rotation) subgroup fix a point?  A cyclic group
+    # fixes exactly what its generator fixes; for n > 2 every element of order
+    # n generates the one rotation subgroup, and for the Klein group (n = 2)
+    # each of the three C2s is a candidate.
+    rotation_fixes = dihedral_n is not None and any(
+        _element_fixed_points(g, 2, p) for g, o in orders.items() if o == dihedral_n
+    )
 
     cond1 = (
         dihedral_n is not None
@@ -339,11 +304,6 @@ def classify_pgl2(group: ProjGroup) -> Pgl2Classification:
 # block-sum sufficiency
 
 
-def has_global_fixed_point(group: MatrixGroup) -> bool:
-    """Borel containment test for dim-2 groups: a common projective fixed point."""
-    return bool(global_fixed_points(projectivize(group)))
-
-
 def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
     """Sufficiency test for the block-sum construction.
 
@@ -366,26 +326,7 @@ def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
 # subgroup enumeration
 
 
-def _subgroup_closure(group: ProjGroup, gens: frozenset) -> frozenset:
-    from .matgrp import proj_canonical
-
-    ident = proj_canonical(tuple(mat_identity(group.dim)), group.modulus)
-    seen = {ident}
-    frontier = [ident]
-    gen_list = list(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gen_list:
-                y = group.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def enumerate_subgroups(ambient: ProjGroup, bound: int = 1320) -> list[ProjGroup]:
+def enumerate_subgroups(ambient: ProjGroup, bound: int = LATTICE_BOUND) -> list[ProjGroup]:
     """All subgroups of `ambient` up to conjugacy.
 
     Iterative extension: every subgroup arises from a smaller one by
@@ -404,8 +345,6 @@ def enumerate_subgroups(ambient: ProjGroup, bound: int = 1320) -> list[ProjGroup
         row = table[i]
         for j, b in enumerate(elements):
             row[j] = index[ambient.mul(a, b)]
-    from .matgrp import proj_canonical
-
     ident = index[proj_canonical(tuple(mat_identity(ambient.dim)), ambient.modulus)]
     inv = [0] * n
     for i in range(n):

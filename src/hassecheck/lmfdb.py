@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .dchar import twist_modulus
-from .nfdata import NewformRecord, sturm_bound
+from .nfdata import NewformRecord, default_bound
 
 DEFAULT_BASE_URL = "https://www.lmfdb.org/api"
 LABEL_RE = re.compile(r"^(\d+)\.(\d+)\.([a-z]+)\.([a-z]+)$")
@@ -46,11 +45,6 @@ class PartialDataError(RuntimeError):
             f"{label}: upstream provides coefficients to {achieved}, wanted {wanted}"
         )
         self.achieved = achieved
-
-
-def default_fetch_bound(level: int) -> int:
-    q = twist_modulus(level)
-    return max(200, sturm_bound(level * q * q, 2))
 
 
 def _default_transport(url: str, params: dict) -> dict:
@@ -125,7 +119,7 @@ def fetch_form(source: DataSource, label: str, bound: int | None = None) -> Newf
         raise LabelSyntaxError(f"malformed newform label: {label!r}")
     level = int(m.group(1))
     if bound is None:
-        bound = default_fetch_bound(level)
+        bound = default_bound(level)
 
     if source.mode == "fixtures":
         path = Path(source.fixtures) / f"{label}.json"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .ffield import is_prime, least_nonresidue
+from .ffield import is_prime, least_nonresidue, primitive_root
 
 DEFAULT_CAP = 2**20
 
@@ -76,10 +76,6 @@ def mat_inv(m: tuple, dim: int, p: int) -> tuple:
                 f = a[r][col]
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
     return tuple(a[i][dim + j] for i in range(dim) for j in range(dim))
-
-
-def mat_transpose(m: tuple, dim: int) -> tuple:
-    return tuple(m[j * dim + i] for i in range(dim) for j in range(dim))
 
 
 def proj_canonical(m: tuple, p: int) -> tuple:
@@ -303,24 +299,12 @@ class ProjGroup:
     def inv(self, a: tuple) -> tuple:
         return proj_canonical(mat_inv(a, self.dim, self.modulus), self.modulus)
 
-    def element_order(self, a: tuple) -> int:
-        ident = proj_canonical(mat_identity(self.dim), self.modulus)
-        k, x = 1, a
-        while x != ident:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
 
 def projectivize(group: MatrixGroup) -> ProjGroup:
     p = group.modulus
     elems = frozenset(proj_canonical(m, p) for m in group.elements)
     gens = tuple(dict.fromkeys(proj_canonical(g.entries, p) for g in group.generators))
     return ProjGroup(gens, group.dim, p, elems)
-
-
-def proj_group_from_canonical(elements, generators, dim: int, p: int) -> ProjGroup:
-    return ProjGroup(tuple(generators), dim, p, frozenset(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -374,39 +358,6 @@ def fixed_points_scan(m: Matrix) -> set[ProjPoint]:
 
 
 # ---------------------------------------------------------------------------
-# symplectic utility
-
-
-def standard_j(dim: int, p: int) -> Matrix:
-    """J_2 = [[0,1],[-1,0]] for dim 2; the block sum J_2 + J_2 for dim 4."""
-    rows = [[0] * dim for _ in range(dim)]
-    for i in range(0, dim, 2):
-        rows[i][i + 1] = 1
-        rows[i + 1][i] = p - 1
-    return matrix(rows, p)
-
-
-def symplectic_multiplier(m: Matrix, j: Matrix):
-    """mu with m^T J m = mu J, or None if no such scalar exists."""
-    if j.det() == 0:
-        raise SingularMatrixError("J must be invertible")
-    if mat_transpose(j.entries, j.dim) != tuple(-e % j.modulus for e in j.entries):
-        raise ValueError("J must be antisymmetric")
-    dim, p = m.dim, m.modulus
-    lhs = mat_mul(mat_mul(mat_transpose(m.entries, dim), j.entries, dim, p), m.entries, dim, p)
-    mu = None
-    for le, je in zip(lhs, j.entries):
-        if je % p:
-            mu = le * pow(je, -1, p) % p
-            break
-    if mu is None:
-        return None
-    if lhs != tuple(mu * e % p for e in j.entries):
-        return None
-    return mu
-
-
-# ---------------------------------------------------------------------------
 # constructors
 
 
@@ -440,17 +391,6 @@ def block_diagonal(g1: MatrixGroup, g2: MatrixGroup, cap: int = DEFAULT_CAP) -> 
         for b in g2.elements
     )
     return MatrixGroup(tuple(gens), 4, p, elements)
-
-
-def primitive_root(p: int) -> int:
-    from .ffield import FieldElement, mul_order
-
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        if mul_order(FieldElement(g, p)) == p - 1:
-            return g
-    raise ValueError("no primitive root found")
 
 
 def standard_constructors(kind: str, p: int, inner: MatrixGroup | None = None) -> MatrixGroup:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .dchar import DirichletCharacter, RingEmbedding, evaluate
+from .dchar import DirichletCharacter, RingEmbedding, evaluate, twist_modulus
 from .ffield import ExtElement, FieldElement, factorize, legendre, mul_order, sqrt_mod
 
 
@@ -161,6 +161,11 @@ def sturm_bound(level: int, weight: int) -> int:
     for p in factorize(level):
         mu *= Fraction(p + 1, p)
     return floor(Fraction(weight) * mu / 12)
+
+
+def default_bound(level: int) -> int:
+    q = twist_modulus(level)
+    return max(200, sturm_bound(level * q * q, 2))
 
 
 @dataclass(frozen=True)

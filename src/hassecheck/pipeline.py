@@ -12,7 +12,6 @@ upgrading confidence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import lcm
 
@@ -25,6 +24,7 @@ from .nfdata import (
     NewformRecord,
     RamifiedPrimeError,
     ReductionMap,
+    default_bound,
     frob_charpoly,
     projective_frob_order,
     reduce_coeff,
@@ -33,11 +33,6 @@ from .nfdata import (
 )
 
 STABILIZATION_MARGIN = 50
-
-
-def default_bound(level: int) -> int:
-    q = twist_modulus(level)
-    return max(200, sturm_bound(level * q * q, 2))
 
 
 def test_primes(level: int, ell: int, bound: int, extra_excluded: int = 1) -> list[int]:
@@ -442,7 +437,10 @@ def congruence_check(
 
 def _scan_one(args):
     record, ell, bound = args
-    verdict, reports = hasse_verdict(record, ell, bound)
+    try:
+        verdict, reports = hasse_verdict(record, ell, bound)
+    except Exception as exc:  # noqa: BLE001 - per-row capture is the contract
+        return {"label": record.label, "error": f"{type(exc).__name__}: {exc}"}
     return {
         "label": record.label,
         "level": record.level,
@@ -510,11 +508,6 @@ def _label_sort_key(label: str):
         return (int(parts[0]), int(parts[1]), parts[2], parts[3])
     except (ValueError, IndexError):
         return (1 << 60, 0, label, "")
-
-
-def rows_to_json(rows: list[dict], config: dict | None = None) -> str:
-    doc = {"config": config or {}, "rows": rows}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str) + "\n"
 
 
 def rows_to_table(rows: list[dict]) -> str:

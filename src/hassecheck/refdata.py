@@ -38,6 +38,9 @@ def reference_discrepancies(rows: list[dict]) -> list[dict]:
     out = []
     for row in rows:
         label = row.get("label")
+        if "error" in row and (label in REFERENCE_IMAGES_LOW or label in REFERENCE_IMAGES_SIMPLE):
+            out.append({"label": label, "error": row["error"], "kind": "analysis_error"})
+            continue
         reports = row.get("reports")
         if not reports:
             continue

@@ -143,6 +143,45 @@ def test_criterion_3_criterion_oracle_equivalence(pgl2_f7_lattice):
     note(3, ok, f"(classes={len(pgl2_f7_lattice)}, psl-excluded={psl_excluded}, {dt:.1f}s)")
 
 
+# (order, dickson_label, stabilized_pair, rotation_subgroup_fixed_point,
+#  projective_det_surjective) for each class of the F_7 lattice, in
+# enumerate_subgroups order
+PGL2_F7_CLASSIFICATION = [
+    (1, "cyclic(1)", "split", False, False),
+    (2, "cyclic(2)", "split", False, True),
+    (2, "cyclic(2)", "split", False, False),
+    (3, "cyclic(3)", "split", False, False),
+    (4, "dihedral(4)", "split", True, True),
+    (4, "dihedral(4)", "nonsplit", False, False),
+    (4, "cyclic(4)", "nonsplit", False, False),
+    (6, "cyclic(6)", "split", False, True),
+    (6, "dihedral(6)", "split", True, True),
+    (6, "dihedral(6)", "split", True, False),
+    (7, "cyclic(7)", "none", False, False),
+    (8, "cyclic(8)", "nonsplit", False, True),
+    (8, "dihedral(8)", "nonsplit", False, True),
+    (8, "dihedral(8)", "nonsplit", False, False),
+    (12, "dihedral(12)", "split", True, True),
+    (12, "A4", "none", False, False),
+    (14, "dihedral(14)", "none", True, True),
+    (16, "dihedral(16)", "nonsplit", False, True),
+    (21, "borel_contained", "none", False, False),
+    (24, "S4", "none", False, False),
+    (42, "borel_contained", "none", False, True),
+    (168, "psl2", "none", False, False),
+    (336, "pgl2", "none", False, True),
+]
+
+
+def test_classify_pgl2_on_the_f7_lattice(pgl2_f7_lattice):
+    observed = []
+    for sub in pgl2_f7_lattice:
+        c = classify_pgl2(sub)
+        observed.append((c.order, c.dickson_label, c.stabilized_pair,
+                         c.rotation_subgroup_fixed_point, c.projective_det_surjective))
+    assert observed == PGL2_F7_CLASSIFICATION
+
+
 def test_criterion_4_block_sum_sufficiency(catalogue):
     t0 = time.monotonic()
     assert len(catalogue) >= 20

@@ -1,6 +1,9 @@
 """CLI surface: exit codes, canonical output, command behaviour."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,10 +94,11 @@ def test_verdicts_never_affect_exit_code(capsys):
 
 
 def test_scan_json_byte_identical(capsys):
+    # the worker count changes neither the rows nor the echoed config
     argv = ["scan", "--ell", "7", "--level-max", "100", "--source", "fixtures",
-            "--format", "json", "--jobs", "1"]
-    rc1, out1, _ = run(capsys, argv)
-    rc2, out2, _ = run(capsys, argv)
+            "--format", "json", "--jobs"]
+    rc1, out1, _ = run(capsys, argv + ["1"])
+    rc2, out2, _ = run(capsys, argv + ["2"])
     assert rc1 == rc2 == EX_OK
     assert out1 == out2
 
@@ -125,3 +129,14 @@ def test_fetch_lists_candidates_from_fixtures(capsys):
     assert rc == EX_OK
     labels = json.loads(out)["labels"]
     assert "7938.2.a.bj" in labels and len(labels) == 6
+
+
+def test_reproduce_tables_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert "== mod-7 scan, level <= 189 (CM forms, both ideals) ==" in out
+    assert "== mod-7 scan, absolutely simple candidates (field Q(sqrt 2)) ==" in out
+    counts = [line for line in out.splitlines() if line.startswith("reference discrepancies:")]
+    assert counts == ["reference discrepancies: 1", "reference discrepancies: 3"]

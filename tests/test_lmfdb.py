@@ -7,7 +7,6 @@ from hassecheck.lmfdb import (
     LabelSyntaxError,
     NotFoundError,
     TransportError,
-    default_fetch_bound,
     fetch_form,
     list_fixture_labels,
     query_candidates,
@@ -102,11 +101,6 @@ def test_query_candidates_reference_filters():
 def test_query_candidates_empty_filters():
     labels = query_candidates(fixtures_source(), {"dimension": 2, "cm": True, "level_range": [0, 0]})
     assert labels == []
-
-
-def test_default_fetch_bound():
-    assert default_fetch_bound(189) == max(200, 432)
-    assert default_fetch_bound(1) == 200
 
 
 def test_http_mode_uses_injected_transport(tmp_path):

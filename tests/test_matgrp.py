@@ -17,8 +17,6 @@ from hassecheck.matgrp import (
     matrix,
     projectivize,
     standard_constructors,
-    standard_j,
-    symplectic_multiplier,
 )
 
 
@@ -89,29 +87,6 @@ def test_fixed_points_scalar_invariance():
         for lam in range(1, 7):
             scaled = matrix([[lam * e for e in row] for row in m.rows()], 7)
             assert fixed_points(m) == fixed_points(scaled)
-
-
-def test_symplectic_multiplier():
-    j = standard_j(2, 7)
-    assert symplectic_multiplier(identity(2, 7), j) == 1
-    g = matrix([[2, 1], [1, 1]], 7)
-    j4 = standard_j(4, 7)
-    gblock = matrix(
-        [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]], 7
-    )
-    assert symplectic_multiplier(gblock, j4) == g.det()  # J = J2 + J2 block form
-    bad = matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]], 7)
-    assert symplectic_multiplier(bad, j4) is None
-
-
-def test_symplectic_multiplier_is_multiplicative():
-    j = standard_j(2, 7)
-    a = matrix([[2, 1], [1, 1]], 7)
-    b = matrix([[3, 0], [1, 5]], 7)
-    ma = symplectic_multiplier(a, j)
-    mb = symplectic_multiplier(b, j)
-    mab = symplectic_multiplier(a * b, j)
-    assert mab == ma * mb % 7
 
 
 def test_block_diagonal_order_multiplicative():

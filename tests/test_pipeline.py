@@ -1,9 +1,12 @@
 """Image analysis pipeline: twist detection, reducibility, orders, verdicts."""
 
+import json
+import shutil
+
 import pytest
 
 from hassecheck.dchar import trivial_character
-from hassecheck.lmfdb import DataSource, fetch_form
+from hassecheck.lmfdb import DataSource, fetch_form, fixture_dir
 from hassecheck.nfdata import DataCoverageError, NewformRecord, QuadElement, split_primes
 from hassecheck.pipeline import (
     congruence_check,
@@ -15,6 +18,7 @@ from hassecheck.pipeline import (
     not_borel_witness,
     scan,
 )
+from hassecheck.refdata import reference_discrepancies
 
 SRC = DataSource(mode="fixtures")
 SQRT2 = (-2, 0, 1)
@@ -277,7 +281,35 @@ def test_scan_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_turns_analysis_failures_into_error_rows(tmp_path, jobs):
+    for path in fixture_dir().glob("*.json"):
+        shutil.copy(path, tmp_path)
+
+    def corrupt(label, change):
+        path = tmp_path / f"{label}.json"
+        data = json.loads(path.read_text())
+        change(data)
+        path.write_text(json.dumps(data))
+
+    corrupt("189.2.p.a", lambda d: d.pop("zeta_in_field"))
+    # a_2 = 1/7 has no reduction mod 7
+    corrupt("117.2.g.a", lambda d: next(a for a in d["ap"] if a["p"] == 2).update(coeffs=["1/7", 0]))
+
+    clean = scan(SRC, 7, level_max=189, jobs=1)
+    rows = scan(DataSource(mode="fixtures", fixtures=tmp_path), 7, level_max=189, jobs=jobs)
+    errors = {r["label"]: r for r in rows if "error" in r}
+    assert errors == {
+        "117.2.g.a": {"label": "117.2.g.a", "error": "BadDenominatorError: denominator divisible by 7"},
+        "189.2.p.a": {"label": "189.2.p.a", "error": "ValueError: 189.2.p.a: character needs zeta_in_field"},
+    }
+    assert [r for r in rows if "error" not in r] == [r for r in clean if r["label"] not in errors]
+    kinds = {d["label"]: d["kind"] for d in reference_discrepancies(rows)}
+    assert kinds["117.2.g.a"] == kinds["189.2.p.a"] == "analysis_error"
+
+
 def test_default_bound_rule():
     assert default_bound(189) == 432
     assert default_bound(49) == 457
     assert default_bound(25) == 200
+    assert default_bound(1) == 200
