@@ -86,13 +86,6 @@ class UnitGroupBasis:
                 orders.append(q - q // p)
         return UnitGroupBasis(n, tuple(gens), tuple(orders))
 
-    @property
-    def phi(self) -> int:
-        out = 1
-        for o in self.orders:
-            out *= o
-        return out
-
     def dlog(self, a: int) -> tuple:
         """Exponent vector of a over the basis; brute force per component."""
         n = self.modulus
@@ -199,11 +192,6 @@ class DirichletCharacter:
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def parity(self) -> int:
-        """chi(-1) as +1 or -1."""
-        k = self.exponent_at(-1)
-        return 1 if k == 0 else -1  # chi(-1)^2 = 1 forces k in {0, m/2}
-
     def conductor(self) -> int:
         n = self.modulus
         divisors = sorted(d for d in range(1, n + 1) if n % d == 0)
@@ -267,11 +255,6 @@ def evaluate(chi: DirichletCharacter, a: int, embed):
     if chi.zeta_order == 1:
         return embed.root_power(0)
     return embed.root_power(k * (embed.m // chi.zeta_order))
-
-
-def evaluate_fp(chi: DirichletCharacter, a: int, ell: int) -> FieldElement:
-    m = chi.order()
-    return evaluate(chi, a, FpEmbedding(chi.zeta_order if m > 1 else 1, ell))
 
 
 def twist_modulus(n: int) -> int:

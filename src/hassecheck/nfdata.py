@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import floor
 
 from .dchar import DirichletCharacter, RingEmbedding, evaluate, twist_modulus
-from .ffield import ExtElement, FieldElement, factorize, legendre, mul_order, sqrt_mod
+from .ffield import ExtElement, FieldElement, factorize, is_prime, legendre, mul_order, sqrt_mod
 
 
 class RamifiedPrimeError(ValueError):
@@ -88,7 +88,6 @@ class QuadElement:
 class ReductionMap:
     ell: int
     root: int
-    companion_root: int
     m0: int
     m1: int
 
@@ -148,8 +147,8 @@ def split_primes(field_poly, ell: int):
     inv2 = pow(2, -1, ell)
     rs = sorted(((-m1 + r.value) * inv2 % ell) for r in roots)
     return (
-        ReductionMap(ell, rs[0], rs[1], m0, m1),
-        ReductionMap(ell, rs[1], rs[0], m0, m1),
+        ReductionMap(ell, rs[0], m0, m1),
+        ReductionMap(ell, rs[1], m0, m1),
     )
 
 
@@ -179,9 +178,6 @@ class FrobData:
         """Trace data cannot separate scalar from unipotent-times-scalar."""
         ell = self.trace.modulus
         return (self.trace.value**2 - 4 * self.det.value) % ell == 0
-
-    def charpoly_str(self) -> str:
-        return f"x^2 - {self.trace.value}*x + {self.det.value}"
 
 
 def projective_frob_order(fd: FrobData) -> int:
@@ -294,7 +290,7 @@ class NewformRecord:
             for item in data["ap"]
         }
         zeta = data.get("zeta_in_field")
-        return NewformRecord(
+        record = NewformRecord(
             label=data["label"],
             level=int(data["level"]),
             weight=int(data["weight"]),
@@ -308,6 +304,26 @@ class NewformRecord:
             zeta_in_field=tuple(zeta) if zeta else None,
             provenance=data.get("provenance", ""),
         )
+        record._validate()
+        return record
+
+    def _validate(self) -> None:
+        """Reject a record whose fields contradict each other."""
+        label, level = self.label, self.level
+        if label.split(".")[0] != str(level):
+            raise ValueError(f"{label}: label does not name level {level}")
+        if self.char.modulus != level:
+            raise ValueError(f"{label}: character modulus {self.char.modulus} is not the level {level}")
+        for p in range(2, self.ap_max_prime + 1):
+            if p not in self.ap and is_prime(p):
+                raise ValueError(f"{label}: no a_p for p = {p} <= ap_max_prime {self.ap_max_prime}")
+        if self.zeta_in_field is not None:
+            m = self.char.zeta_order
+            zeta, powers = self.quad(*self.zeta_in_field), [self.quad(1, 0)]
+            for _ in range(m):
+                powers.append(powers[-1] * zeta)
+            if powers[m] != powers[0] or any(powers[m // r] == powers[0] for r in factorize(m)):
+                raise ValueError(f"{label}: zeta_in_field is not a primitive {m}-th root of unity")
 
     @staticmethod
     def from_json(text: str) -> "NewformRecord":
@@ -322,7 +338,7 @@ def frob_charpoly(record: NewformRecord, p: int, rmap: ReductionMap) -> FrobData
     ell = rmap.ell
     if p == ell or record.level % p == 0:
         raise ValueError(f"p = {p} divides l*N; no Frobenius data")
-    t = rmap.apply(record.coefficient(p))
+    t = reduce_coeff(record, p, rmap)
     eps = rmap.apply(record.nebentypus_value(p))
     d = FieldElement(p, ell) * eps
     if d.value == 0:

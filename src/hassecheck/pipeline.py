@@ -17,10 +17,11 @@ from math import lcm
 
 from . import dchar
 from .dchar import DirichletCharacter, FpEmbedding, evaluate, kernel_field_disc, twist_modulus
-from .ffield import FieldElement, is_prime, mul_order
+from .ffield import is_prime, legendre, mul_order
 from .lmfdb import DataSource, fetch_form, list_fixture_labels, query_candidates
 from .nfdata import (
     DataCoverageError,
+    FrobData,
     NewformRecord,
     RamifiedPrimeError,
     ReductionMap,
@@ -35,40 +36,38 @@ from .nfdata import (
 STABILIZATION_MARGIN = 50
 
 
-def test_primes(level: int, ell: int, bound: int, extra_excluded: int = 1) -> list[int]:
-    """All primes p <= bound with p not dividing ell * level * extra."""
-    excl = ell * level * extra_excluded
+def test_primes(level: int, ell: int, bound: int) -> list[int]:
+    """All primes p <= bound with p not dividing ell * level."""
+    excl = ell * level
     return [p for p in range(2, bound + 1) if is_prime(p) and excl % p != 0]
 
 
-def _require_coverage(record: NewformRecord, bound: int) -> None:
+def frob_table(record: NewformRecord, rmap: ReductionMap, bound: int) -> dict[int, FrobData]:
+    """Frobenius data mod the ideal of rmap at every good prime p <= bound.
+
+    trace is a_p and det is p*eps(p), both reduced once here; every stage
+    below reads only this table.
+    """
     if record.ap_max_prime < bound:
         raise DataCoverageError(record.label, bound, record.ap_max_prime)
+    return {p: frob_charpoly(record, p, rmap) for p in test_primes(record.level, rmap.ell, bound)}
 
 
-def detect_twist(record: NewformRecord, rmap: ReductionMap, bound: int):
+def detect_twist(frob: dict[int, FrobData], level: int):
     """First nontrivial quadratic self-twist candidate surviving every test.
 
     A character alpha mod q survives when reduce(a_p) = 0 at every tested
     prime with alpha(p) = -1.  Returns (alpha, kernel_disc) or None.
     """
-    _require_coverage(record, bound)
-    q = twist_modulus(record.level)
-    ell = rmap.ell
-    for alpha in dchar.quadratic_characters(q):
+    for alpha in dchar.quadratic_characters(twist_modulus(level)):
         if alpha.is_trivial():
             continue
-        ok = True
-        for p in test_primes(record.level, ell, bound, q):
-            if alpha.sign_value(p) == -1 and reduce_coeff(record, p, rmap).value != 0:
-                ok = False
-                break
-        if ok:
+        if all(fd.trace.value == 0 for p, fd in frob.items() if alpha.sign_value(p) == -1):
             return alpha, kernel_field_disc(alpha)
     return None
 
 
-def exclude_reducible(record: NewformRecord, rmap: ReductionMap, bound: int) -> dict:
+def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
     """Sweep all F_l-valued characters mod N against the reducibility congruence.
 
     A reducible representation would satisfy a_p = chi(p) + p*eps(p)/chi(p)
@@ -76,21 +75,14 @@ def exclude_reducible(record: NewformRecord, rmap: ReductionMap, bound: int) -> 
     least violating prime), and a surviving character means the data cannot
     exclude reducibility.
     """
-    _require_coverage(record, bound)
-    ell = rmap.ell
-    primes = test_primes(record.level, ell, bound)
     embed = FpEmbedding(ell - 1, ell)
     certificates = {}
     survivor = None
-    for chi in dchar.fl_valued_characters(record.level, ell):
+    for chi in dchar.fl_valued_characters(level, ell):
         violation = None
-        for p in primes:
+        for p, fd in frob.items():
             chi_p = evaluate(chi, p, embed)
-            if chi_p.value == 0:
-                continue
-            eps_p = rmap.apply(record.nebentypus_value(p))
-            rhs = chi_p + FieldElement(p, ell) * eps_p / chi_p
-            if reduce_coeff(record, p, rmap) != rhs:
+            if fd.trace != chi_p + fd.det / chi_p:
                 violation = p
                 break
         if violation is None:
@@ -98,34 +90,22 @@ def exclude_reducible(record: NewformRecord, rmap: ReductionMap, bound: int) -> 
                 survivor = chi
         else:
             certificates[chi.exponents] = violation
-    if survivor is not None:
-        ratio = _reducible_ratio_order(record, survivor, rmap, bound)
-        return {
-            "reducible": True,
-            "character": survivor,
-            "cyclic_order": ratio,
-            "certificates": certificates,
-        }
-    return {"reducible": False, "character": None, "certificates": certificates}
+    if survivor is None:
+        return {"reducible": False, "character": None, "certificates": certificates}
+    # order of the ratio character chi'/chi = omega*eps/chi^2 on the table
+    ratio_order = 1
+    for p, fd in frob.items():
+        chi_p = evaluate(survivor, p, embed)
+        ratio_order = lcm(ratio_order, mul_order(fd.det / (chi_p * chi_p)))
+    return {
+        "reducible": True,
+        "character": survivor,
+        "cyclic_order": ratio_order,
+        "certificates": certificates,
+    }
 
 
-def _reducible_ratio_order(record, chi, rmap, bound) -> int:
-    """Order of the ratio character chi'/chi = omega*eps/chi^2 on test primes."""
-    ell = rmap.ell
-    embed = FpEmbedding(ell - 1, ell)
-    order = 1
-    for p in test_primes(record.level, ell, bound):
-        chi_p = evaluate(chi, p, embed)
-        if chi_p.value == 0:
-            continue
-        eps_p = rmap.apply(record.nebentypus_value(p))
-        ratio = FieldElement(p, ell) * eps_p / (chi_p * chi_p)
-        if ratio.value != 0:
-            order = lcm(order, mul_order(ratio))
-    return order
-
-
-def dihedral_order(record: NewformRecord, rmap: ReductionMap, alpha: DirichletCharacter, bound: int) -> dict:
+def dihedral_order(frob: dict[int, FrobData], alpha: DirichletCharacter, ell: int, bound: int) -> dict:
     """lcm of eigenvalue-ratio orders over alpha-split primes, with audit data.
 
     Repeated-eigenvalue primes are skipped (flagged); the stabilization
@@ -133,29 +113,21 @@ def dihedral_order(record: NewformRecord, rmap: ReductionMap, alpha: DirichletCh
     result degrades to insufficient data when that happens too close to the
     bound or when no usable split prime exists.
     """
-    _require_coverage(record, bound)
-    ell = rmap.ell
-    q = twist_modulus(record.level)
     n = 1
     last_change = None
     used = 0
     skipped_repeated = []
     inert_violations = []
-    for p in test_primes(record.level, ell, bound, q):
-        sv = alpha.sign_value(p)
-        if sv == -1:
-            if reduce_coeff(record, p, rmap).value != 0:
+    for p, fd in frob.items():
+        if alpha.sign_value(p) == -1:
+            if fd.trace.value != 0:
                 inert_violations.append(p)
             continue
-        if sv == 0:
-            continue
-        fd = frob_charpoly(record, p, rmap)
         if fd.repeated:
             skipped_repeated.append(p)
             continue
         used += 1
-        order = projective_frob_order(fd)
-        n2 = lcm(n, order)
+        n2 = lcm(n, projective_frob_order(fd))
         if n2 != n:
             n = n2
             last_change = p
@@ -172,17 +144,12 @@ def dihedral_order(record: NewformRecord, rmap: ReductionMap, alpha: DirichletCh
     }
 
 
-def not_borel_witness(record: NewformRecord, rmap: ReductionMap, bound: int):
+def not_borel_witness(frob: dict[int, FrobData]):
     """Least good prime whose Frobenius characteristic polynomial is irreducible."""
-    _require_coverage(record, bound)
-    from .ffield import legendre
-
-    for p in test_primes(record.level, rmap.ell, bound):
-        fd = frob_charpoly(record, p, rmap)
-        disc = fd.trace * fd.trace - FieldElement(4, rmap.ell) * fd.det
-        if disc.value != 0 and legendre(disc) == -1:
-            return p
-    return None
+    return next(
+        (p for p, fd in frob.items() if legendre(fd.trace * fd.trace - 4 * fd.det) == -1),
+        None,
+    )
 
 
 @dataclass
@@ -258,10 +225,11 @@ class HasseVerdict:
 
 
 def analyze_ideal(record: NewformRecord, rmap: ReductionMap, bound: int) -> ImageReport:
+    frob = frob_table(record, rmap, bound)
     report = ImageReport(record.label, rmap.ell, rmap.root, rmap.ideal_display(), "not_dihedral")
-    twist = detect_twist(record, rmap, bound)
-    red = exclude_reducible(record, rmap, bound)
-    report.not_borel_witness = not_borel_witness(record, rmap, bound)
+    twist = detect_twist(frob, record.level)
+    red = exclude_reducible(frob, record.level, rmap.ell)
+    report.not_borel_witness = not_borel_witness(frob)
     if red["reducible"]:
         report.status = "possibly_reducible"
         report.reducible_character = red["character"]
@@ -277,7 +245,7 @@ def analyze_ideal(record: NewformRecord, rmap: ReductionMap, bound: int) -> Imag
         return report
     alpha, disc = twist
     report.alpha, report.alpha_kernel_disc = alpha, disc
-    audit = dihedral_order(record, rmap, alpha, bound)
+    audit = dihedral_order(frob, alpha, rmap.ell, bound)
     report.flags["order_audit"] = {
         k: audit[k]
         for k in (
@@ -335,16 +303,12 @@ def hasse_verdict(record: NewformRecord, ell: int, bound: int | None = None):
         return HasseVerdict(record.label, ell, "undetermined", reasons), []
     reasons["split_in_coefficient_field"] = True
 
-    reports = []
-    data_error = None
-    for rmap in maps:
-        try:
-            reports.append(analyze_ideal(record, rmap, bound))
-        except DataCoverageError as exc:
-            data_error = str(exc)
-    if data_error and len(reports) < 2:
-        reasons["data_coverage"] = data_error
-        return HasseVerdict(record.label, ell, "undetermined", reasons), reports
+    try:
+        reports = [analyze_ideal(record, rmap, bound) for rmap in maps]
+    except DataCoverageError as exc:
+        # coverage belongs to the record: both ideals fail or neither does
+        reasons["data_coverage"] = str(exc)
+        return HasseVerdict(record.label, ell, "undetermined", reasons), []
 
     dihedral_side = None
     for i, rep in enumerate(reports):
@@ -412,7 +376,7 @@ def congruence_check(
     if bound is None:
         bound = sturm_bound(lcm(f.level, g.level), 2)
     bound = min(bound, f.ap_max_prime, g.ap_max_prime)
-    primes = [p for p in test_primes(f.level, ell, bound) if (g.level * ell) % p != 0]
+    primes = test_primes(f.level * g.level, ell, bound)
     for p in primes:
         if reduce_coeff(f, p, rf) != reduce_coeff(g, p, rg):
             return {
@@ -524,6 +488,6 @@ def rows_to_table(rows: list[dict]) -> str:
             continue
         images = ", ".join(
             f"r={rep['root']} {rep['ideal']}: {rep['image']}" for rep in row["reports"]
-        )
+        ) or row["verdict"]["reasons"].get("data_coverage", "")
         out.append(f"{row['label']:<16} {row['level']:>6} {row['verdict']['verdict']:<12} {images}")
     return "\n".join(out) + "\n"

@@ -9,6 +9,7 @@ import pytest
 
 from hassecheck.cli import EX_OK, EX_OPERATIONAL, EX_USAGE, main
 from hassecheck.matgrp import closure, identity, matrix
+from hassecheck.nfdata import default_bound
 
 
 def run(capsys, argv):
@@ -111,6 +112,16 @@ def test_scan_table_format_with_reference(capsys):
     assert rc == EX_OK
     assert "reference discrepancies" in out
     assert "189.2.p.a" in out
+
+
+def test_undetermined_table_rows_name_the_needed_bound(capsys):
+    rc, out, _ = run(capsys, ["scan", "--ell", "7", "--source", "fixtures", "--jobs", "1"])
+    assert rc == EX_OK
+    lines = [line for line in out.splitlines() if " undetermined " in line]
+    assert len(lines) == 7
+    for line in lines:
+        level = int(line.split()[1])
+        assert f"but {default_bound(level)} is required" in line
 
 
 def test_congruence_cli(capsys):

@@ -1,6 +1,7 @@
 """Dirichlet characters: evaluation, conductors, twist machinery."""
 
 import json
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,6 @@ from hassecheck.dchar import (
     FpEmbedding,
     UnitGroupBasis,
     evaluate,
-    evaluate_fp,
     fl_valued_characters,
     kernel_field_disc,
     quadratic_characters,
@@ -62,15 +62,16 @@ def test_fl_valued_counts():
 
 def test_trivial_character_evaluates_to_one():
     chi = trivial_character(21)
-    assert evaluate_fp(chi, 2, 7).value == 1
-    assert evaluate_fp(chi, 7, 7).value == 0  # gcd > 1
+    embed = FpEmbedding(6, 7)
+    assert evaluate(chi, 2, embed).value == 1
+    assert evaluate(chi, 7, embed).value == 0  # gcd > 1
 
 
 def test_canonical_basis_for_189():
     basis = UnitGroupBasis.for_modulus(189)
     assert basis.generators == (29, 136)
     assert basis.orders == (18, 6)
-    assert basis.phi == 108
+    assert prod(basis.orders) == 108
 
 
 def test_reference_nebentypus_of_189_2_p_a():

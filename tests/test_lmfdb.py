@@ -1,5 +1,10 @@
 """Data source behaviour: fixtures, cache, and the no-network guarantee."""
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from hassecheck.lmfdb import (
@@ -8,6 +13,7 @@ from hassecheck.lmfdb import (
     NotFoundError,
     TransportError,
     fetch_form,
+    fixture_dir,
     list_fixture_labels,
     query_candidates,
 )
@@ -32,6 +38,22 @@ def test_fixture_corpus_contents():
     ):
         assert label in labels, label
     assert len(labels) >= 18
+
+
+def test_generator_rebuilds_the_committed_fixtures(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "make_fixtures", module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    records = {}
+    for build in (module.build_low_level_forms, module.build_controls, module.build_simple_forms):
+        records.update(build())
+    committed = {p.stem: p.read_bytes() for p in fixture_dir().glob("*.json")}
+    assert sorted(records) == sorted(committed)
+    for label, rec in records.items():
+        text = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+        assert text.encode() == committed[label], label
 
 
 def test_fetch_form_fixture():

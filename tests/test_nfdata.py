@@ -91,8 +91,7 @@ def test_frob_charpoly_on_fixture():
     rec = fetch_form(DataSource(mode="fixtures"), "7938.2.a.bk")
     r3 = split_primes(SQRT2, 7)[0]
     fd = frob_charpoly(rec, 11, r3)
-    assert fd.trace.value == 2 and fd.det.value == 4
-    assert fd.charpoly_str() == "x^2 - 2*x + 4"
+    assert (fd.trace, fd.det) == (2, 4)
     with pytest.raises(ValueError):
         frob_charpoly(rec, 7, r3)  # p divides l*N
     with pytest.raises(ValueError):

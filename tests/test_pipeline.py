@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from hassecheck.pipeline import (
     detect_twist,
     dihedral_order,
     exclude_reducible,
+    frob_table,
     hasse_verdict,
     not_borel_witness,
     scan,
@@ -21,6 +23,7 @@ from hassecheck.pipeline import (
 from hassecheck.refdata import reference_discrepancies
 
 SRC = DataSource(mode="fixtures")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SQRT2 = (-2, 0, 1)
 ZETA6 = (1, -1, 1)
 
@@ -32,7 +35,7 @@ def rmaps(rec, ell=7):
 def test_detect_twist_189p():
     rec = fetch_form(SRC, "189.2.p.a")
     for rmap in rmaps(rec):
-        found = detect_twist(rec, rmap, 48)
+        found = detect_twist(frob_table(rec, rmap, 48), rec.level)
         assert found is not None
         alpha, disc = found
         assert disc == -3  # the character cutting out Q(sqrt-3)
@@ -42,28 +45,27 @@ def test_detect_twist_189p():
 def test_detect_twist_squarefree_level_has_no_candidates():
     rec = fetch_form(SRC, "273.2.u.a")
     for rmap in rmaps(rec):
-        assert detect_twist(rec, rmap, 200) is None
+        assert detect_twist(frob_table(rec, rmap, 200), rec.level) is None
 
 
 def test_detect_twist_candidates_all_fail():
     rec = fetch_form(SRC, "2883.2.c.a")
     for rmap in rmaps(rec):
-        assert detect_twist(rec, rmap, 400) is None
+        assert detect_twist(frob_table(rec, rmap, 400), rec.level) is None
 
 
 def test_detect_twist_coverage_error():
     rec = fetch_form(SRC, "189.2.p.a")
     with pytest.raises(DataCoverageError):
-        detect_twist(rec, rmaps(rec)[0], 5000)
+        frob_table(rec, rmaps(rec)[0], 5000)
 
 
 def test_detect_twist_finds_conductor_7_for_bk():
     rec = fetch_form(SRC, "7938.2.a.bk")
-    r3 = rmaps(rec)[0]
-    alpha, disc = detect_twist(rec, r3, 1000)
+    r3, r4 = rmaps(rec)
+    alpha, disc = detect_twist(frob_table(rec, r3, 1000), rec.level)
     assert disc == -7
-    r4 = rmaps(rec)[1]
-    assert detect_twist(rec, r4, 1000) is None
+    assert detect_twist(frob_table(rec, r4, 1000), rec.level) is None
 
 
 def _engineered_reducible():
@@ -99,7 +101,7 @@ def _engineered_reducible():
 def test_exclude_reducible_accepts_engineered_congruence():
     rec = _engineered_reducible()
     rmap = split_primes(SQRT2, 7)[0]
-    out = exclude_reducible(rec, rmap, 200)
+    out = exclude_reducible(frob_table(rec, rmap, 200), rec.level, 7)
     assert out["reducible"]
     assert out["cyclic_order"] >= 1
 
@@ -107,7 +109,7 @@ def test_exclude_reducible_accepts_engineered_congruence():
 def test_exclude_reducible_certifies_bk():
     rec = fetch_form(SRC, "7938.2.a.bk")
     for rmap in rmaps(rec):
-        out = exclude_reducible(rec, rmap, 1000)
+        out = exclude_reducible(frob_table(rec, rmap, 1000), rec.level, 7)
         assert not out["reducible"]
         assert len(out["certificates"]) == 36  # one violating prime per character
 
@@ -115,16 +117,16 @@ def test_exclude_reducible_certifies_bk():
 def test_reducible_status_for_49():
     rec = fetch_form(SRC, "49.2.c.a")
     for rmap in rmaps(rec):
-        out = exclude_reducible(rec, rmap, 457)
+        out = exclude_reducible(frob_table(rec, rmap, 457), rec.level, 7)
         assert out["reducible"]
         assert out["cyclic_order"] == 2
 
 
 def test_dihedral_order_bk():
     rec = fetch_form(SRC, "7938.2.a.bk")
-    r3 = rmaps(rec)[0]
-    alpha, _ = detect_twist(rec, r3, 1000)
-    audit = dihedral_order(rec, r3, alpha, 1000)
+    frob = frob_table(rec, rmaps(rec)[0], 1000)
+    alpha, _ = detect_twist(frob, rec.level)
+    audit = dihedral_order(frob, alpha, 7, 1000)
     assert audit["n"] == 3
     assert audit["inert_trace_violations"] == []
     assert not audit["insufficient"]
@@ -134,15 +136,16 @@ def test_dihedral_order_bk():
 def test_dihedral_order_examples_189():
     rec = fetch_form(SRC, "189.2.p.a")
     for rmap in rmaps(rec):
-        alpha, _ = detect_twist(rec, rmap, 432)
-        audit = dihedral_order(rec, rmap, alpha, 432)
+        frob = frob_table(rec, rmap, 432)
+        alpha, _ = detect_twist(frob, rec.level)
+        audit = dihedral_order(frob, alpha, 7, 432)
         assert audit["n"] == 3
 
 
 def test_not_borel_witness():
     rec = fetch_form(SRC, "7938.2.a.bk")
     r4 = rmaps(rec)[1]
-    w = not_borel_witness(rec, r4, 1000)
+    w = not_borel_witness(frob_table(rec, r4, 1000))
     assert w is not None
     # witness really has irreducible characteristic polynomial
     from hassecheck.ffield import legendre, FieldElement
@@ -154,7 +157,7 @@ def test_not_borel_witness():
     # a Hasse-type dihedral image fixes a point elementwise: no witness exists
     rec2 = fetch_form(SRC, "189.2.p.a")
     for rmap in rmaps(rec2):
-        assert not_borel_witness(rec2, rmap, 432) is None
+        assert not_borel_witness(frob_table(rec2, rmap, 432)) is None
 
 
 def test_hasse_verdict_examples():
@@ -295,6 +298,11 @@ def test_scan_turns_analysis_failures_into_error_rows(tmp_path, jobs):
     corrupt("189.2.p.a", lambda d: d.pop("zeta_in_field"))
     # a_2 = 1/7 has no reduction mod 7
     corrupt("117.2.g.a", lambda d: next(a for a in d["ap"] if a["p"] == 2).update(coeffs=["1/7", 0]))
+    # records that contradict themselves are rejected on load
+    corrupt("63.2.e.a", lambda d: d.update(level=64))
+    corrupt("81.2.c.a", lambda d: d["char"].update(modulus=9))  # 2 generates mod 9 and mod 81
+    corrupt("49.2.c.a", lambda d: d.update(ap=[a for a in d["ap"] if a["p"] != 11]))
+    corrupt("117.2.q.b", lambda d: d.update(zeta_in_field=[-1, 1]))  # a cube root, not a sixth
 
     clean = scan(SRC, 7, level_max=189, jobs=1)
     rows = scan(DataSource(mode="fixtures", fixtures=tmp_path), 7, level_max=189, jobs=jobs)
@@ -302,10 +310,31 @@ def test_scan_turns_analysis_failures_into_error_rows(tmp_path, jobs):
     assert errors == {
         "117.2.g.a": {"label": "117.2.g.a", "error": "BadDenominatorError: denominator divisible by 7"},
         "189.2.p.a": {"label": "189.2.p.a", "error": "ValueError: 189.2.p.a: character needs zeta_in_field"},
+        "63.2.e.a": {"label": "63.2.e.a", "error": "ValueError: 63.2.e.a: label does not name level 64"},
+        "81.2.c.a": {
+            "label": "81.2.c.a",
+            "error": "ValueError: 81.2.c.a: character modulus 9 is not the level 81",
+        },
+        "49.2.c.a": {
+            "label": "49.2.c.a",
+            "error": "ValueError: 49.2.c.a: no a_p for p = 11 <= ap_max_prime 1009",
+        },
+        "117.2.q.b": {
+            "label": "117.2.q.b",
+            "error": "ValueError: 117.2.q.b: zeta_in_field is not a primitive 6-th root of unity",
+        },
     }
     assert [r for r in rows if "error" not in r] == [r for r in clean if r["label"] not in errors]
     kinds = {d["label"]: d["kind"] for d in reference_discrepancies(rows)}
-    assert kinds["117.2.g.a"] == kinds["189.2.p.a"] == "analysis_error"
+    assert all(kinds[label] == "analysis_error" for label in errors)
+
+
+@pytest.mark.parametrize("name, bound", [("scan_ell7_default", None), ("scan_ell7_b1000", 1000)])
+def test_scan_rows_match_golden(name, bound):
+    # every stage output of every fixture row: verdicts, flags, order audits,
+    # certificate counts and witnesses
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert json.loads(json.dumps(scan(SRC, 7, bound=bound))) == golden
 
 
 def test_default_bound_rule():
