@@ -164,7 +164,7 @@ def _cmd_enumerate(args) -> int:
     for s in subs:
         res = is_hasse(s)
         if res.is_hasse:
-            entry = {"order": s.order(), "generators": [list(g) for g in sorted(s.elements)[:3]]}
+            entry = {"order": s.order(), "generators": [list(g) for g in s.generators]}
             if s.dim == 2:
                 entry["dickson_label"] = classify_pgl2(s).dickson_label
             hasse_subs.append(entry)

@@ -70,11 +70,7 @@ def is_hasse(group: ProjGroup) -> HasseResult:
     reported as the lexicographically least candidates so output is stable.
     """
     dim, p = group.dim, group.modulus
-    violator = None
-    for elt in sorted(group.elements):
-        if not has_eigenvalue(elt, dim, p):
-            violator = elt
-            break
+    violator = min((elt for elt in group.elements if not has_eigenvalue(elt, dim, p)), default=None)
     if violator is not None:
         return HasseResult(False, violating_element=violator)
     common = global_fixed_points(group)
@@ -333,7 +329,9 @@ def enumerate_subgroups(ambient: ProjGroup, bound: int = LATTICE_BOUND) -> list[
     adjoining a single element, so a breadth-first sweep over conjugacy-class
     representatives is exhaustive.  Deduplication stores the full conjugation
     orbit of each subgroup found, which keeps the conjugacy tests O(1).
-    Internally everything runs on an indexed multiplication table.
+    Internally everything runs on an indexed multiplication table.  Each
+    representative's generators are the ones it was built from: its parent's
+    generators plus the adjoined element (none for the trivial group).
     """
     n = ambient.order()
     if n > bound:
@@ -376,7 +374,7 @@ def enumerate_subgroups(ambient: ProjGroup, bound: int = LATTICE_BOUND) -> list[
 
     trivial = frozenset({ident})
     seen: set[frozenset] = set(conjugates(trivial))
-    reps: list[frozenset] = [trivial]
+    gens_of: dict[frozenset, tuple] = {trivial: ()}  # representative -> generators
     queue = [trivial]
     while queue:
         sub = queue.pop()
@@ -387,11 +385,15 @@ def enumerate_subgroups(ambient: ProjGroup, bound: int = LATTICE_BOUND) -> list[
             if ext in seen:
                 continue
             seen |= conjugates(ext)
-            reps.append(ext)
+            gens_of[ext] = gens_of[sub] + (g,)
             queue.append(ext)
-    reps.sort(key=lambda s: (len(s), sorted(elements[i] for i in s)))
-    out = []
-    for s in reps:
-        elems = frozenset(elements[i] for i in s)
-        out.append(ProjGroup(tuple(sorted(elems)), ambient.dim, ambient.modulus, elems))
-    return out
+    reps = sorted(gens_of, key=lambda s: (len(s), sorted(elements[i] for i in s)))
+    return [
+        ProjGroup(
+            tuple(elements[i] for i in gens_of[s]),
+            ambient.dim,
+            ambient.modulus,
+            frozenset(elements[i] for i in s),
+        )
+        for s in reps
+    ]

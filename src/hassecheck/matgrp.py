@@ -82,8 +82,10 @@ def proj_canonical(m: tuple, p: int) -> tuple:
     """Canonical representative of the scalar class: first nonzero entry 1."""
     for e in m:
         if e % p:
+            if e == 1 and min(m) >= 0 and max(m) < p:
+                return m  # already canonical
             inv = pow(e, -1, p)
-            return tuple(x * inv % p for x in m)
+            return tuple([x * inv % p for x in m])
     raise SingularMatrixError("zero matrix has no projective class")
 
 
@@ -311,34 +313,73 @@ def projectivize(group: MatrixGroup) -> ProjGroup:
 # fixed points
 
 
+def charpoly(m: tuple, dim: int, p: int) -> tuple:
+    """Coefficients (c_1, ..., c_dim) of det(x*I - m) = sum_k (-1)^k c_k x^(dim-k), mod p.
+
+    c_k is the sum of the k x k principal minors: the trace first, the
+    determinant last.  The formulas use ring operations only, so they hold
+    for every p, 2 and 3 included.
+    """
+    if dim == 2:
+        a, b, c, d = m
+        return ((a + d) % p, (a * d - b * c) % p)
+    a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = m
+    # 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair
+    t01 = a00 * a11 - a01 * a10
+    t02 = a00 * a12 - a02 * a10
+    t03 = a00 * a13 - a03 * a10
+    t12 = a01 * a12 - a02 * a11
+    t13 = a01 * a13 - a03 * a11
+    t23 = a02 * a13 - a03 * a12
+    b01 = a20 * a31 - a21 * a30
+    b02 = a20 * a32 - a22 * a30
+    b03 = a20 * a33 - a23 * a30
+    b12 = a21 * a32 - a22 * a31
+    b13 = a21 * a33 - a23 * a31
+    b23 = a22 * a33 - a23 * a32
+    c1 = a00 + a11 + a22 + a33
+    c2 = (t01 + b23 + a00 * a22 - a02 * a20 + a00 * a33 - a03 * a30
+          + a11 * a22 - a12 * a21 + a11 * a33 - a13 * a31)
+    c3 = (a11 * b23 - a12 * b13 + a13 * b12  # rows and columns {1, 2, 3}
+          + a00 * b23 - a02 * b03 + a03 * b02  # {0, 2, 3}
+          + a30 * t13 - a31 * t03 + a33 * t01  # {0, 1, 3}
+          + a20 * t12 - a21 * t02 + a22 * t01)  # {0, 1, 2}
+    c4 = t01 * b23 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + t23 * b01
+    return (c1 % p, c2 % p, c3 % p, c4 % p)
+
+
+def _roots(coeffs: tuple, p: int):
+    """Roots in F_p, ascending, of x^n - c_1 x^(n-1) + c_2 x^(n-2) - ... for coeffs (c_1, ..., c_n)."""
+    signed = [-c if k % 2 else c for k, c in enumerate(coeffs, 1)]
+    for lam in range(p):
+        v = 1
+        for c in signed:  # Horner's rule
+            v = v * lam + c
+        if v % p == 0:
+            yield lam
+
+
 def has_eigenvalue(m: tuple, dim: int, p: int) -> bool:
     """True iff the characteristic polynomial of m has a root in F_p."""
-    for lam in range(p):
-        shifted = list(m)
-        for i in range(dim):
-            shifted[i * dim + i] = (shifted[i * dim + i] - lam) % p
-        if mat_det(tuple(shifted), dim, p) == 0:
-            return True
-    return False
+    return next(_roots(charpoly(m, dim, p), p), None) is not None
 
 
 def fixed_points(m: Matrix) -> set[ProjPoint]:
     """All projective points x with m.x proportional to x.
 
-    Roots of the characteristic polynomial are found by direct evaluation
-    (the modulus is tiny), then each eigenspace is projectivised.
+    Each root of the characteristic polynomial is an eigenvalue; its
+    eigenspace is projectivised.
     """
     dim, p = m.dim, m.modulus
-    if m.det() == 0:
+    coeffs = charpoly(m.entries, dim, p)
+    if coeffs[-1] == 0:
         raise SingularMatrixError("fixed points only defined for invertible matrices")
     pts: set[ProjPoint] = set()
-    for lam in range(p):
+    for lam in _roots(coeffs, p):
         shifted = list(m.entries)
         for i in range(dim):
             shifted[i * dim + i] = (shifted[i * dim + i] - lam) % p
-        shifted = tuple(shifted)
-        if mat_det(shifted, dim, p) == 0:
-            pts |= subspace_points(kernel_basis(shifted, dim, p), dim, p)
+        pts |= subspace_points(kernel_basis(tuple(shifted), dim, p), dim, p)
     return pts
 
 

@@ -186,6 +186,15 @@ def test_classify_pgl2_on_the_f7_lattice(pgl2_f7_lattice):
     assert observed == PGL2_F7_CLASSIFICATION
 
 
+def test_lattice_generators_generate_each_class(pgl2_f7_lattice):
+    for sub in pgl2_f7_lattice:
+        if sub.order() == 1:
+            assert sub.generators == ()
+            continue
+        lifts = [Matrix(g, 2, 7) for g in sub.generators]
+        assert projectivize(closure(lifts)).elements == sub.elements
+
+
 def test_criterion_4_block_sum_sufficiency(catalogue):
     t0 = time.monotonic()
     assert len(catalogue) >= 20

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hassecheck.cli import EX_OK, EX_OPERATIONAL, EX_USAGE, main
-from hassecheck.matgrp import closure, identity, matrix
+from hassecheck.matgrp import Matrix, closure, identity, matrix, projectivize
 from hassecheck.nfdata import default_bound
 
 
@@ -31,6 +31,17 @@ def test_enumerate_hasse_ell_2(capsys):
     assert doc["hasse_subgroups"] == []
     assert doc["subgroup_classes"] == 4
     assert doc["config"]["ell"] == 2
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_enumerate_hasse_generators_close_to_the_printed_order(capsys, ell):
+    rc, out, _ = run(capsys, ["enumerate-hasse", "--ell", str(ell)])
+    assert rc == EX_OK
+    subs = json.loads(out)["hasse_subgroups"]
+    assert subs
+    for sub in subs:
+        lifts = [Matrix(tuple(g), 2, ell) for g in sub["generators"]]
+        assert projectivize(closure(lifts)).order() == sub["order"]
 
 
 def test_check_group_trivial(tmp_path, capsys):

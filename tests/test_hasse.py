@@ -36,14 +36,16 @@ def test_d6_is_hasse():
 
 
 def test_full_pgl2_not_hasse_with_violator():
-    res = is_hasse(projectivize(standard_constructors("gl2", 7)))
+    group = projectivize(standard_constructors("gl2", 7))
+    res = is_hasse(group)
     assert not res.is_hasse
     v = res.violating_element
     assert v is not None
-    # the witness genuinely fixes nothing
-    from hassecheck.matgrp import Matrix, fixed_points
+    # the witness genuinely fixes nothing, and is the least element that does
+    from hassecheck.matgrp import Matrix, fixed_points, fixed_points_scan
 
     assert fixed_points(Matrix(v, 2, 7)) == set()
+    assert v == min(e for e in group.elements if not fixed_points_scan(Matrix(e, 2, 7)))
 
 
 def test_classify_d6():

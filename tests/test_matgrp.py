@@ -6,18 +6,36 @@ import pytest
 
 from hassecheck.matgrp import (
     ClosureCapError,
+    Matrix,
     MatrixGroup,
     SingularMatrixError,
     all_proj_points,
     block_diagonal,
+    charpoly,
     closure,
     fixed_points,
     fixed_points_scan,
+    has_eigenvalue,
     identity,
+    mat_det,
     matrix,
+    proj_canonical,
     projectivize,
     standard_constructors,
 )
+
+
+def shifted(m: tuple, dim: int, lam: int, p: int) -> tuple:
+    """m - lam * I, reduced mod p."""
+    out = list(m)
+    for i in range(dim):
+        out[i * dim + i] -= lam
+    return tuple(x % p for x in out)
+
+
+def has_eigenvalue_scan(m: tuple, dim: int, p: int) -> bool:
+    """Oracle for has_eigenvalue: one determinant of m - lam*I per lam in F_p."""
+    return any(mat_det(shifted(m, dim, lam, p), dim, p) == 0 for lam in range(p))
 
 
 def test_closure_examples():
@@ -121,10 +139,63 @@ def test_json_round_trip():
 
 def test_fixed_point_existence_matches_charpoly_roots_on_gl2_f7():
     # cross-check on every element of the preimage of PGL2(F7)
-    from hassecheck.matgrp import Matrix, has_eigenvalue
-
     gl2 = standard_constructors("gl2", 7)
     assert gl2.order() == 2016
     for elt in gl2.elements:
         m = Matrix(elt, 2, 7)
-        assert bool(fixed_points(m)) == has_eigenvalue(elt, 2, 7)
+        assert bool(fixed_points(m)) == has_eigenvalue(elt, 2, 7) == has_eigenvalue_scan(elt, 2, 7)
+
+
+def test_has_eigenvalue_matches_the_scan_on_a_dim4_block_group():
+    ns = standard_constructors("nonsplit_cartan", 7)
+    d6 = closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7)])
+    seen = set()
+    for g1, g2 in ((ns, ns), (d6, ns)):
+        group = projectivize(block_diagonal(g1, g2))
+        verdicts = [has_eigenvalue(e, 4, 7) for e in group.elements]
+        assert verdicts == [has_eigenvalue_scan(e, 4, 7) for e in group.elements]
+        seen.update(verdicts)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_has_eigenvalue_matches_the_scan_on_random_dim4_matrices(p):
+    # p <= dim catches a formula that divides; singular matrices included
+    rng = random.Random(p)
+    singular = scanned = 0
+    for _ in range(2000):
+        m = tuple(rng.randrange(p) for _ in range(16))
+        assert has_eigenvalue(m, 4, p) == has_eigenvalue_scan(m, 4, p), m
+        if mat_det(m, 4, p) == 0:
+            singular += 1
+        elif p <= 3 or scanned < 25:
+            scanned += 1
+            assert bool(fixed_points_scan(Matrix(m, 4, p))) == has_eigenvalue(m, 4, p), m
+    assert singular > 0
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_charpoly_matches_determinants(dim):
+    # det(lam*I - m) = det(m - lam*I) in even dim; its values at dim points
+    # pin all dim coefficients, and a large prime keeps the integer identity
+    # visible
+    p = 10007
+    rng = random.Random(dim)
+    for _ in range(200):
+        m = tuple(rng.randrange(p) for _ in range(dim * dim))
+        coeffs = charpoly(m, dim, p)
+        for lam in range(dim + 1):
+            value = lam**dim + sum((-1) ** k * c * lam ** (dim - k) for k, c in enumerate(coeffs, 1))
+            assert value % p == mat_det(shifted(m, dim, lam, p), dim, p)
+
+
+def test_proj_canonical_first_nonzero_entry_is_one():
+    p = 7
+    for m in [(0, 3, 2, 5), (1, 4, 0, 6), (0, 0, 0, 1), (8, -1, 14, 3), (1, 9, 0, 0)]:
+        c = proj_canonical(m, p)
+        assert next(e for e in c if e) == 1 and all(0 <= e < p for e in c)
+        assert any(all((k * x - y) % p == 0 for x, y in zip(m, c)) for k in range(1, p))
+    canonical = (1, 4, 0, 6)
+    assert proj_canonical(canonical, p) is canonical
+    with pytest.raises(SingularMatrixError):
+        proj_canonical((0, 7, 0, 0), p)
