@@ -34,24 +34,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hassecheck.dchar import UnitGroupBasis
-from hassecheck.ffield import is_prime
+from hassecheck.ffield import factorize, is_prime
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "hassecheck" / "fixtures"
 AP_MAX = 1009
 PRIMES = [p for p in range(2, AP_MAX + 1) if is_prime(p)]
-
-
-def factorize(n: int) -> dict:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,10 @@ def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
         raise ValueError("factors must share the modulus")
     h1, h2 = projectivize(g1), projectivize(g2)
     r1, r2 = is_hasse(h1), is_hasse(h2)
-    borel1 = bool(global_fixed_points(h1))
-    borel2 = bool(global_fixed_points(h2))
+    # a group with a global fixed point has no violator, so is_hasse reached
+    # its fixed-point test and reports the point it found
+    borel1 = r1.global_fixed_point is not None
+    borel2 = r2.global_fixed_point is not None
     predicted = (r1.is_hasse and not borel2) or (r2.is_hasse and not borel1)
     brute = is_hasse(projectivize(block_diagonal(g1, g2)))
     return {"predicted": predicted, "brute_force": brute}
@@ -331,7 +333,9 @@ def enumerate_subgroups(ambient: ProjGroup, bound: int = LATTICE_BOUND) -> list[
     orbit of each subgroup found, which keeps the conjugacy tests O(1).
     Internally everything runs on an indexed multiplication table.  Each
     representative's generators are the ones it was built from: its parent's
-    generators plus the adjoined element (none for the trivial group).
+    generators plus the adjoined element (none for the trivial group).  Each
+    extension is closed from those generators, and only once per right coset
+    sub*g: every element of the coset gives the same extension.
     """
     n = ambient.order()
     if n > bound:
@@ -348,15 +352,14 @@ def enumerate_subgroups(ambient: ProjGroup, bound: int = LATTICE_BOUND) -> list[
     for i in range(n):
         inv[i] = table[i].index(ident)
 
-    def close(gens: frozenset) -> frozenset:
+    def close(gens: tuple) -> frozenset:
         seen = {ident}
         frontier = [ident]
-        gen_list = list(gens)
         while frontier:
             nxt = []
             for x in frontier:
                 row = table[x]
-                for g in gen_list:
+                for g in gens:
                     y = row[g]
                     if y not in seen:
                         seen.add(y)
@@ -378,10 +381,12 @@ def enumerate_subgroups(ambient: ProjGroup, bound: int = LATTICE_BOUND) -> list[
     queue = [trivial]
     while queue:
         sub = queue.pop()
+        tried = set(sub)
         for g in range(n):
-            if g in sub:
+            if g in tried:
                 continue
-            ext = close(frozenset(sub | {g}))
+            ext = close(gens_of[sub] + (g,))
+            tried.update(table[s][g] for s in sub)  # <sub, s*g> = <sub, g>
             if ext in seen:
                 continue
             seen |= conjugates(ext)

@@ -413,7 +413,7 @@ def block_diag_mat(a: Matrix, b: Matrix) -> Matrix:
     return matrix(rows, p)
 
 
-def block_diagonal(g1: MatrixGroup, g2: MatrixGroup, cap: int = DEFAULT_CAP) -> MatrixGroup:
+def block_diagonal(g1: MatrixGroup, g2: MatrixGroup) -> MatrixGroup:
     """Direct sum of two dim-2 groups inside GL_4."""
     if g1.modulus != g2.modulus:
         raise ValueError("groups must share the modulus")
@@ -423,9 +423,8 @@ def block_diagonal(g1: MatrixGroup, g2: MatrixGroup, cap: int = DEFAULT_CAP) -> 
     ident = identity(2, p)
     gens = [block_diag_mat(g, ident) for g in g1.generators]
     gens += [block_diag_mat(ident, g) for g in g2.generators]
-    size = g1.order() * g2.order()
-    if size > cap:
-        raise ClosureCapError(cap)
+    if g1.order() * g2.order() > DEFAULT_CAP:
+        raise ClosureCapError(DEFAULT_CAP)
     elements = frozenset(
         (a[0], a[1], 0, 0, a[2], a[3], 0, 0, 0, 0, b[0], b[1], 0, 0, b[2], b[3])
         for a in g1.elements

@@ -117,11 +117,8 @@ def dihedral_order(frob: dict[int, FrobData], alpha: DirichletCharacter, ell: in
     last_change = None
     used = 0
     skipped_repeated = []
-    inert_violations = []
     for p, fd in frob.items():
         if alpha.sign_value(p) == -1:
-            if fd.trace.value != 0:
-                inert_violations.append(p)
             continue
         if fd.repeated:
             skipped_repeated.append(p)
@@ -136,7 +133,6 @@ def dihedral_order(frob: dict[int, FrobData], alpha: DirichletCharacter, ell: in
         "n": n,
         "split_primes_used": used,
         "skipped_repeated": skipped_repeated,
-        "inert_trace_violations": inert_violations,
         "stabilized_at": last_change,
         "insufficient": insufficient,
         "divides_ell_minus_1": (ell - 1) % n == 0,
@@ -251,7 +247,6 @@ def analyze_ideal(record: NewformRecord, rmap: ReductionMap, bound: int) -> Imag
         for k in (
             "split_primes_used",
             "skipped_repeated",
-            "inert_trace_violations",
             "stabilized_at",
         )
     }

@@ -15,7 +15,9 @@ from hassecheck.matgrp import (
     ProjGroup,
     closure,
     identity,
+    mat_identity,
     matrix,
+    proj_canonical,
     projectivize,
     standard_constructors,
 )
@@ -103,6 +105,10 @@ def test_lemma31_examples():
     out = lemma31_check(borel, borel)
     assert not out["predicted"] and not out["brute_force"].is_hasse
 
+    # a Hasse factor does not help against a factor with a global fixed point
+    out = lemma31_check(g, borel)
+    assert not out["predicted"] and not out["brute_force"].is_hasse
+
 
 def test_enumerate_pgl2_f2():
     ambient = projectivize(standard_constructors("gl2", 2))
@@ -111,6 +117,71 @@ def test_enumerate_pgl2_f2():
     assert len(subs) == 4  # 1, C2, C3, S3
     assert sorted(s.order() for s in subs) == [1, 2, 3, 6]
     assert not any(is_hasse(s).is_hasse for s in subs)
+
+
+def enumerate_subgroups_oracle(ambient: ProjGroup) -> list[ProjGroup]:
+    """The lattice by exhaustive extension: close sub | {g} for every g not in sub.
+
+    Every element of every class is a generator of the closure, and every g
+    outside a class is tried; `enumerate_subgroups` must find the same
+    classes, in the same order, built from the same generators.
+    """
+    n = ambient.order()
+    elements = sorted(ambient.elements)
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[ambient.mul(a, b)] for b in elements] for a in elements]
+    ident = index[proj_canonical(tuple(mat_identity(ambient.dim)), ambient.modulus)]
+    inv = [row.index(ident) for row in table]
+
+    def close(gens):
+        seen, frontier = {ident}, [ident]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = table[x][g]
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return frozenset(seen)
+
+    def conjugates(sub):
+        return {frozenset(table[table[c][h]][inv[c]] for h in sub) for c in range(n)}
+
+    trivial = frozenset({ident})
+    seen = set(conjugates(trivial))
+    gens_of = {trivial: ()}
+    queue = [trivial]
+    while queue:
+        sub = queue.pop()
+        for g in range(n):
+            if g in sub:
+                continue
+            ext = close(sub | {g})
+            if ext in seen:
+                continue
+            seen |= conjugates(ext)
+            gens_of[ext] = gens_of[sub] + (g,)
+            queue.append(ext)
+    reps = sorted(gens_of, key=lambda s: (len(s), sorted(elements[i] for i in s)))
+    return [
+        ProjGroup(
+            tuple(elements[i] for i in gens_of[s]),
+            ambient.dim,
+            ambient.modulus,
+            frozenset(elements[i] for i in s),
+        )
+        for s in reps
+    ]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_enumerate_subgroups_matches_the_exhaustive_oracle(ell):
+    ambient = projectivize(standard_constructors("gl2", ell))
+    got = [(s.elements, s.generators) for s in enumerate_subgroups(ambient)]
+    want = [(s.elements, s.generators) for s in enumerate_subgroups_oracle(ambient)]
+    assert got == want
 
 
 def test_enumerate_bound_enforced():
