@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import __version__
+from .ffield import is_prime
 from .hasse import LATTICE_BOUND, classify_pgl2, enumerate_subgroups, is_hasse, lemma31_check
 from .lmfdb import DataSource, fetch_form, from_env, query_candidates
 from .matgrp import MatrixGroup, projectivize, standard_constructors
@@ -34,6 +35,22 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EX_USAGE)
+
+
+def _prime(text: str) -> int:
+    """argparse type for --ell: a prime, or a usage error."""
+    ell = int(text)
+    if not is_prime(ell):
+        raise argparse.ArgumentTypeError(f"{ell} is not prime")
+    return ell
+
+
+def _odd_prime(text: str) -> int:
+    """argparse type for --ell on the newform commands, whose reductions need an odd prime."""
+    ell = _prime(text)
+    if ell == 2:
+        raise argparse.ArgumentTypeError("the newform commands need an odd prime, not 2")
+    return ell
 
 
 def canonical_json(doc) -> str:
@@ -80,18 +97,18 @@ def build_parser() -> _Parser:
     v.add_argument("--g2", required=True, help="second group file")
 
     e = sub.add_parser("enumerate-hasse", help="all Hasse subgroups of PGL2(F_ell) up to conjugacy")
-    e.add_argument("--ell", type=int, required=True)
+    e.add_argument("--ell", type=_prime, required=True)
     e.add_argument("--bound", type=int, default=LATTICE_BOUND)
 
     a = sub.add_parser("analyze", help="two-ideal mod-ell image analysis and verdict for one label")
     a.add_argument("--label", required=True)
-    a.add_argument("--ell", type=int, required=True)
+    a.add_argument("--ell", type=_odd_prime, required=True)
     a.add_argument("--source", default="fixtures", choices=["fixtures", "http", "cache_only"])
     a.add_argument("--bound", type=int, default=None)
     a.add_argument("--cache-dir", default=None)
 
     s = sub.add_parser("scan", help="batch analysis over a label set")
-    s.add_argument("--ell", type=int, required=True)
+    s.add_argument("--ell", type=_odd_prime, required=True)
     s.add_argument("--level-max", type=int, default=None)
     s.add_argument("--source", default="fixtures", choices=["fixtures", "http", "cache_only"])
     s.add_argument("--bound", type=int, default=None)
@@ -117,7 +134,7 @@ def build_parser() -> _Parser:
     q = sub.add_parser("congruence", help="finite mod-ell coefficient congruence check")
     q.add_argument("--f", required=True, dest="f_label")
     q.add_argument("--g", required=True, dest="g_label")
-    q.add_argument("--ell", type=int, required=True)
+    q.add_argument("--ell", type=_odd_prime, required=True)
     q.add_argument("--root-f", type=int, default=None)
     q.add_argument("--root-g", type=int, default=None)
     q.add_argument("--bound", type=int, default=None)
@@ -164,10 +181,11 @@ def _cmd_enumerate(args) -> int:
     for s in subs:
         res = is_hasse(s)
         if res.is_hasse:
-            entry = {"order": s.order(), "generators": [list(g) for g in s.generators]}
-            if s.dim == 2:
-                entry["dickson_label"] = classify_pgl2(s).dickson_label
-            hasse_subs.append(entry)
+            hasse_subs.append({
+                "order": s.order(),
+                "generators": [list(g) for g in s.generators],
+                "dickson_label": classify_pgl2(s).dickson_label,
+            })
     doc = {
         "config": _config(args),
         "ambient_order": ambient.order(),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ffield import ExtElement
 from .matgrp import (
     MatrixGroup,
     ProjGroup,
@@ -164,55 +163,37 @@ def _pair_stabilized(group: ProjGroup) -> str:
     """Does the group stabilise an unordered pair of points of P^1?
 
     Split pairs live in P^1(F_p); nonsplit pairs are Frobenius-conjugate
-    pairs of points of P^1(F_{p^2}) outside P^1(F_p).
+    pairs of points of P^1(F_{p^2}) outside P^1(F_p).  Either kind is the
+    zero set of a binary quadratic form Q = aX^2 + bXY + cY^2 over F_p with
+    two distinct roots, and the roots fix Q up to a scalar.  As
+    (Q o g)(v) = Q(g v), Q o g is the form whose roots are g^-1 of the
+    pair, so g stabilises the pair exactly when Q o g is a multiple of Q,
+    and the group does when each generator does.  The forms up to scalar
+    are the points (a : b : c) of P^2(F_p): one with two zeros on P^1(F_p)
+    gives a split pair, one with none is irreducible and gives a nonsplit
+    pair, and one with a single zero is a square and gives no pair.  A
+    split pair beats a nonsplit one.
     """
     p = group.modulus
-    pts = all_proj_points(2, p)
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            ok = True
-            for g in group.generators:
-                imgs = set()
-                for pt in (a, b):
-                    img = tuple(
-                        sum(g[r * 2 + c] * pt.coords[c] for c in range(2)) % p for r in range(2)
-                    )
-                    imgs.add(point_canonical(img, p))
-                if imgs != {a, b}:
-                    ok = False
-                    break
-            if ok:
+    found = "none"
+    for form in all_proj_points(3, p):
+        a, b, c = form.coords
+        zeros = (a == 0) + sum((a * x * x + b * x + c) % p == 0 for x in range(p))
+        if zeros == 1:
+            continue
+        for g0, g1, g2, g3 in group.generators:
+            image = (
+                a * g0 * g0 + b * g0 * g2 + c * g2 * g2,
+                2 * a * g0 * g1 + b * (g0 * g3 + g1 * g2) + 2 * c * g2 * g3,
+                a * g1 * g1 + b * g1 * g3 + c * g3 * g3,
+            )
+            if point_canonical(image, p) != form:
+                break
+        else:
+            if zeros == 2:
                 return "split"
-    # nonsplit: points (x : 1) with x in F_{p^2} \ F_p, paired with conjugate
-    seen = set()
-    for a0 in range(p):
-        for b0 in range(1, p):
-            x = ExtElement(a0, b0, p)
-            key = frozenset({(x.a, x.b), (x.a, (-x.b) % p)})
-            if key in seen:
-                continue
-            seen.add(key)
-            pair = {(x.a, x.b), (x.a, (-x.b) % p)}
-            ok = True
-            for g in group.generators:
-                imgs = set()
-                for (xa, xb) in pair:
-                    xe = ExtElement(xa, xb, p)
-                    num = ExtElement(g[0] * xe.a % p, g[0] * xe.b % p, p)
-                    num = ExtElement((num.a + g[1]) % p, num.b, p)
-                    den = ExtElement(g[2] * xe.a % p, g[2] * xe.b % p, p)
-                    den = ExtElement((den.a + g[3]) % p, den.b, p)
-                    if not den:
-                        ok = False  # image is the rational point at infinity
-                        break
-                    img = num * den.inverse()
-                    imgs.add((img.a, img.b))
-                if not ok or imgs != pair:
-                    ok = False
-                    break
-            if ok:
-                return "nonsplit"
-    return "none"
+            found = "nonsplit"
+    return found
 
 
 def _proj_det_values(group: ProjGroup) -> set[int]:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .ffield import is_prime
 from .nfdata import NewformRecord, default_bound
 
 DEFAULT_BASE_URL = "https://www.lmfdb.org/api"
@@ -241,8 +242,6 @@ def translate_newform(payload: dict, label: str, bound: int, source: DataSource)
         )["data"][0]
         ap_rows = hecke["ap"]
         maxp = int(hecke["maxp"])
-        from .ffield import is_prime
-
         primes = [p for p in range(2, maxp + 1) if is_prime(p)]
         ap = [
             {"p": p, "coeffs": [int(c[0]), int(c[1])]}

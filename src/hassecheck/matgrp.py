@@ -200,9 +200,6 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         return Matrix(mat_mul(self.entries, other.entries, self.dim, self.modulus), self.dim, self.modulus)
 
-    def inverse(self) -> "Matrix":
-        return Matrix(mat_inv(self.entries, self.dim, self.modulus), self.dim, self.modulus)
-
     def det(self) -> int:
         return mat_det(self.entries, self.dim, self.modulus)
 
@@ -457,23 +454,17 @@ def standard_constructors(kind: str, p: int, inner: MatrixGroup | None = None) -
         return closure(gens)
     if kind in ("nonsplit_cartan", "nonsplit_cartan_normalizer"):
         s = least_nonresidue(p)
-        # multiplication by a generator of F_{p^2}^x on the basis {1, w}
-        from .ffield import ExtElement as _E, mul_order as _order
-
-        gen = None
-        for a in range(p):
-            for b in range(1, p):
-                x = _E(a, b, p)
-                if x.norm().value != 0 and _order(x) == p * p - 1:
-                    gen = (a, b)
-                    break
-            if gen:
-                break
-        a, b = gen
-        gens = [matrix([[a, b * s % p], [b, a]], p)]
-        if kind == "nonsplit_cartan_normalizer":
-            gens.append(matrix([[1, 0], [0, p - 1]], p))
-        return closure(gens)
+        # multiplication by a generator of F_{p^2}^x = F_p[w]^x, w^2 = s,
+        # on the basis {1, w}: the first a + b*w of order p^2 - 1
+        cartan = next(
+            c
+            for a in range(p)
+            for b in range(1, p)
+            if (c := closure([matrix([[a, b * s % p], [b, a]], p)])).order() == p * p - 1
+        )
+        if kind == "nonsplit_cartan":
+            return cartan
+        return closure([*cartan.generators, matrix([[1, 0], [0, p - 1]], p)])
     if kind == "sl2":
         gens = [matrix([[1, 1], [0, 1]], p), matrix([[1, 0], [1, 1]], p)]
         return closure(gens)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import floor
 
 from .dchar import DirichletCharacter, RingEmbedding, evaluate, twist_modulus
-from .ffield import ExtElement, FieldElement, factorize, is_prime, legendre, mul_order, sqrt_mod
+from .ffield import FieldElement, factorize, is_prime, legendre
 
 
 class RamifiedPrimeError(ValueError):
@@ -143,9 +143,7 @@ def split_primes(field_poly, ell: int):
         raise RamifiedPrimeError(f"{ell} ramifies in the coefficient field")
     if legendre(disc) == -1:
         return None
-    roots = sqrt_mod(disc)
-    inv2 = pow(2, -1, ell)
-    rs = sorted(((-m1 + r.value) * inv2 % ell) for r in roots)
+    rs = [x for x in range(ell) if (x * x + m1 * x + m0) % ell == 0]
     return (
         ReductionMap(ell, rs[0], m0, m1),
         ReductionMap(ell, rs[1], m0, m1),
@@ -181,32 +179,24 @@ class FrobData:
 
 
 def projective_frob_order(fd: FrobData) -> int:
-    """Order of the eigenvalue ratio of the Frobenius matrix.
+    """Order in PGL2(F_l) of the companion matrix C = [[t, -d], [1, 0]].
 
-    rho + 1/rho = t^2/d - 2; a repeated eigenvalue counts as order 1 (the
-    `repeated` flag records the ambiguity).  Irreducible characteristic
-    polynomials land in the quadratic extension.
+    That is the order of the eigenvalue ratio of the Frobenius matrix.
+    C^k = U_k C - d U_{k-1} I for the Lucas sequence U_0 = 0, U_1 = 1,
+    U_{k+1} = t U_k - d U_{k-1}, so the order is the least k >= 1 with
+    U_k = 0; it is at most l + 1.  A repeated eigenvalue counts as order 1
+    (the `repeated` flag records the ambiguity).
     """
     ell = fd.trace.modulus
-    if fd.det.value == 0:
+    t, d = fd.trace.value, fd.det.value
+    if d == 0:
         raise ValueError("determinant must be nonzero")
     if fd.repeated:
         return 1
-    s = (fd.trace * fd.trace / fd.det - 2).value
-    disc = FieldElement(s * s - 4, ell)
-    if legendre(disc) >= 0:
-        inv2 = pow(2, -1, ell)
-        r = sqrt_mod(disc)[0].value
-        rho = FieldElement((s + r) * inv2, ell)
-        return mul_order(rho)
-    # rho = (s + sqrt(s^2-4))/2 in F_{l^2}: write sqrt(disc) = c*w
-    from .ffield import least_nonresidue
-
-    w2 = least_nonresidue(ell)
-    c = sqrt_mod(FieldElement(disc.value * pow(w2, -1, ell), ell))[0].value
-    inv2 = pow(2, -1, ell)
-    rho = ExtElement(s * inv2 % ell, c * inv2 % ell, ell)
-    return mul_order(rho)
+    u_prev, u, k = 0, 1, 1
+    while u:
+        u_prev, u, k = u, (t * u - d * u_prev) % ell, k + 1
+    return k
 
 
 @dataclass(frozen=True)

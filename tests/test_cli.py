@@ -24,6 +24,29 @@ def test_usage_error_is_64(capsys):
     assert exc.value.code == EX_USAGE
 
 
+NEWFORM_COMMANDS = [
+    ["analyze", "--label", "49.2.c.a"],
+    ["scan"],
+    ["congruence", "--f", "9099.2.a.e", "--g", "9099.2.a.g"],
+]
+
+
+@pytest.mark.parametrize("ell", ["9", "1", "seven"])
+@pytest.mark.parametrize("argv", NEWFORM_COMMANDS + [["enumerate-hasse"]], ids=lambda a: a[0])
+def test_non_prime_ell_is_a_usage_error(capsys, argv, ell):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--ell", ell])
+    assert exc.value.code == EX_USAGE
+    assert "--ell" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", NEWFORM_COMMANDS, ids=lambda a: a[0])
+def test_ell_2_is_a_usage_error_on_the_newform_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--ell", "2"])
+    assert exc.value.code == EX_USAGE
+
+
 def test_enumerate_hasse_ell_2(capsys):
     rc, out, _ = run(capsys, ["enumerate-hasse", "--ell", "2"])
     assert rc == EX_OK
@@ -70,6 +93,17 @@ def test_classify_pgl2_cli(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["classification"]["dickson_label"] == "dihedral(6)"
     assert doc["classification"]["sutherland"]["predicted_hasse"] is True
+
+
+def test_classify_pgl2_cli_at_ell_2(tmp_path, capsys):
+    g = closure([matrix([[1, 1], [0, 1]], 2), matrix([[1, 0], [1, 1]], 2)])
+    path = tmp_path / "pgl2_f2.json"
+    path.write_text(g.to_json())
+    rc, out, _ = run(capsys, ["classify-pgl2", "--file", str(path)])
+    assert rc == EX_OK
+    doc = json.loads(out)
+    assert doc["classification"]["order"] == 6
+    assert doc["classification"]["stabilized_pair"] == "nonsplit"
 
 
 def test_verify_lemma31_cli(tmp_path, capsys):

@@ -11,12 +11,15 @@ from hassecheck.hasse import (
     is_hasse,
     lemma31_check,
 )
+from hassecheck.ffield import least_nonresidue
 from hassecheck.matgrp import (
     ProjGroup,
+    all_proj_points,
     closure,
     identity,
     mat_identity,
     matrix,
+    point_canonical,
     proj_canonical,
     projectivize,
     standard_constructors,
@@ -75,6 +78,77 @@ def test_classify_trivial():
 def test_classify_nonsplit_pair():
     cls = classify_pgl2(projectivize(standard_constructors("nonsplit_cartan", 7)))
     assert cls.stabilized_pair == "nonsplit"
+
+
+def pair_stabilized_oracle(group: ProjGroup) -> str:
+    """The point-pair scan, p odd: split pairs in P^1(F_p) first, then nonsplit.
+
+    A nonsplit pair is {(x : 1), (conj x : 1)} for x = a + b*w in F_p[w] with
+    w^2 = s the least non-residue and b != 0, held as the int pair (a, b); g
+    sends x to (g0 x + g1) / (g2 x + g3).
+    """
+    p = group.modulus
+    pts = all_proj_points(2, p)
+
+    def image(g, coords):
+        return point_canonical((g[0] * coords[0] + g[1] * coords[1], g[2] * coords[0] + g[3] * coords[1]), p)
+
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            if all({image(g, a.coords), image(g, b.coords)} == {a, b} for g in group.generators):
+                return "split"
+    s = least_nonresidue(p)
+
+    def mul(x, y):
+        return ((x[0] * y[0] + s * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+    def inv(x):
+        n = pow(x[0] * x[0] - s * x[1] * x[1], -1, p)
+        return (x[0] * n % p, -x[1] * n % p)
+
+    def moebius(g, x):
+        return mul(((g[0] * x[0] + g[1]) % p, g[0] * x[1] % p), inv(((g[2] * x[0] + g[3]) % p, g[2] * x[1] % p)))
+
+    for a0 in range(p):
+        for b0 in range(1, p):
+            pair = {(a0, b0), (a0, p - b0)}
+            if all({moebius(g, x) for x in pair} == pair for g in group.generators):
+                return "nonsplit"
+    return "none"
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_stabilized_pair_matches_the_point_pair_scan_on_the_lattice(ell):
+    for sub in enumerate_subgroups(projectivize(standard_constructors("gl2", ell))):
+        assert classify_pgl2(sub).stabilized_pair == pair_stabilized_oracle(sub), sub.generators
+
+
+KINDS = [
+    "split_cartan",
+    "split_cartan_normalizer",
+    "borel",
+    "gl2",
+    "nonsplit_cartan",
+    "nonsplit_cartan_normalizer",
+    "sl2",
+]
+
+
+@pytest.mark.parametrize("ell", [11, 13])
+@pytest.mark.parametrize("kind", KINDS)
+def test_stabilized_pair_matches_the_point_pair_scan_on_the_constructors(kind, ell):
+    group = projectivize(standard_constructors(kind, ell))
+    assert classify_pgl2(group).stabilized_pair == pair_stabilized_oracle(group)
+
+
+def test_stabilized_pair_at_ell_2():
+    # PGL2(F_2) preserves X^2 + XY + Y^2, whose roots are the two points of
+    # P^1(F_4) outside P^1(F_2)
+    assert classify_pgl2(projectivize(standard_constructors("gl2", 2))).stabilized_pair == "nonsplit"
+    # the unipotent C2 swaps (0 : 1) and (1 : 1)
+    c2 = projectivize(closure([matrix([[1, 1], [0, 1]], 2)]))
+    assert c2.order() == 2
+    assert classify_pgl2(c2).stabilized_pair == "split"
 
 
 def test_conjugation_invariance():

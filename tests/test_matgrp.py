@@ -130,6 +130,20 @@ def test_standard_constructors():
         standard_constructors("sporadic", 7)
 
 
+@pytest.mark.parametrize(
+    "p, gen",
+    [(3, (1, 2, 1, 1)), (5, (1, 4, 2, 1)), (7, (1, 3, 1, 1)), (11, (1, 10, 5, 1)), (13, (1, 4, 2, 1))],
+)
+def test_nonsplit_cartan_generator_is_pinned(p, gen):
+    # [[a, b*s], [b, a]] for the first a + b*w of order p^2 - 1, w^2 = s
+    cartan = standard_constructors("nonsplit_cartan", p)
+    assert [g.entries for g in cartan.generators] == [gen]
+    assert cartan.order() == p * p - 1
+    normalizer = standard_constructors("nonsplit_cartan_normalizer", p)
+    assert [g.entries for g in normalizer.generators] == [gen, (1, 0, 0, p - 1)]
+    assert normalizer.order() == 2 * (p * p - 1)
+
+
 def test_json_round_trip():
     g = closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7)])
     g2 = MatrixGroup.from_json(g.to_json())

@@ -7,6 +7,7 @@ import pytest
 
 from hassecheck.ffield import FieldElement
 from hassecheck.lmfdb import DataSource, fetch_form
+from hassecheck.matgrp import closure, matrix, projectivize
 from hassecheck.nfdata import (
     BadDenominatorError,
     FrobData,
@@ -114,6 +115,36 @@ def test_projective_frob_orders():
     scalar = FrobData(11, f7(4), f7(4))
     assert scalar.repeated and projective_frob_order(scalar) == 1
     assert projective_frob_order(FrobData(11, f7(1), f7(4))) == 4  # nonsplit ratio
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_projective_frob_order_is_the_companion_matrix_order(ell):
+    for t in range(ell):
+        for d in range(1, ell):
+            fd = FrobData(2, FieldElement(t, ell), FieldElement(d, ell))
+            if fd.repeated:
+                continue
+            companion = closure([matrix([[t, -d], [1, 0]], ell)])
+            assert projective_frob_order(fd) == projectivize(companion).order(), (t, d)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_split_primes_finds_the_roots_in_ascending_order(ell):
+    for m0 in range(ell):
+        for m1 in range(ell):
+            disc = (m1 * m1 - 4 * m0) % ell
+            # x = (-m1 + r) / 2 for each square root r of the discriminant
+            inv2 = pow(2, -1, ell)
+            roots = sorted((-m1 + r) * inv2 % ell for r in range(ell) if r * r % ell == disc)
+            if disc == 0:
+                with pytest.raises(RamifiedPrimeError):
+                    split_primes((m0, m1, 1), ell)
+                continue
+            maps = split_primes((m0, m1, 1), ell)
+            if not roots:
+                assert maps is None
+            else:
+                assert [m.root for m in maps] == roots
 
 
 def test_projective_order_depends_only_on_t2_over_d():
