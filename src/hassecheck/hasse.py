@@ -146,15 +146,17 @@ def _dihedral_structure(group: ProjGroup, orders: dict):
     if size % 2 or size < 4:
         return None
     n = size // 2
+    ident = proj_canonical(mat_identity(group.dim), group.modulus)
     for g, og in orders.items():
         if og != n:
             continue
         cyc = _cyclic_subgroup(group, g)
-        ginv = group.inv(g)
         for r in group.elements:
             if r in cyc or orders[r] != 2:
                 continue
-            if group.mul(group.mul(r, g), r) == ginv:
+            # with r^2 = 1, r g r = g^-1 exactly when (r g)^2 = 1
+            rg = group.mul(r, g)
+            if group.mul(rg, rg) == ident:
                 return n
     return None
 
@@ -243,7 +245,8 @@ def classify_pgl2(group: ProjGroup) -> Pgl2Classification:
             label = "other"
 
     pair = _pair_stabilized(group)
-    det_surjective = det_values == {1, -1}
+    # F_2^x modulo squares is trivial, so at l = 2 the map is onto its one value
+    det_surjective = det_values == ({1} if p == 2 else {1, -1})
 
     # Does an index-2 cyclic (rotation) subgroup fix a point?  A cyclic group
     # fixes exactly what its generator fixes; for n > 2 every element of order
@@ -253,8 +256,10 @@ def classify_pgl2(group: ProjGroup) -> Pgl2Classification:
         _element_fixed_points(g, 2, p) for g, o in orders.items() if o == dihedral_n
     )
 
+    # (l - 1)/2 is an integer only for odd l
     cond1 = (
-        dihedral_n is not None
+        p % 2 == 1
+        and dihedral_n is not None
         and dihedral_n > 1
         and dihedral_n % 2 == 1
         and ((p - 1) // 2) % dihedral_n == 0
@@ -285,11 +290,12 @@ def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
     """Sufficiency test for the block-sum construction.
 
     predicted: one factor is Hasse and the other has no global fixed point.
-    brute_force: the full Hasse test on the projectivised dim-4 block group.
+    brute_force: the full Hasse test on the projective image of G1 + G2.
     The contract is one-directional: predicted implies brute_force Hasse.
+    The block group is built first, so its checks on the factors (dim 2,
+    one modulus, the size cap) run before any Hasse test.
     """
-    if g1.modulus != g2.modulus:
-        raise ValueError("factors must share the modulus")
+    block = block_diagonal(g1, g2)
     h1, h2 = projectivize(g1), projectivize(g2)
     r1, r2 = is_hasse(h1), is_hasse(h2)
     # a group with a global fixed point has no violator, so is_hasse reached
@@ -297,7 +303,7 @@ def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
     borel1 = r1.global_fixed_point is not None
     borel2 = r2.global_fixed_point is not None
     predicted = (r1.is_hasse and not borel2) or (r2.is_hasse and not borel1)
-    brute = is_hasse(projectivize(block_diagonal(g1, g2)))
+    brute = is_hasse(block)
     return {"predicted": predicted, "brute_force": brute}
 
 

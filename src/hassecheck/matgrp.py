@@ -4,6 +4,9 @@ Matrices are stored as flat row-major tuples of ints in [0, l); the
 dimension (2 or 4) and modulus travel with each object.  Group closures are
 plain breadth-first products, capped hard: the groups of interest here are
 tiny and hitting the cap signals misuse, not a need for a bigger budget.
+A projective group holds one canonical representative per scalar class.
+The block sum G1 + G2 of two dim-2 groups is built straight into PGL_4 by
+`block_diagonal`, from the factors' elements, without a dim-4 matrix group.
 """
 
 from __future__ import annotations
@@ -60,22 +63,6 @@ def mat_det(m: tuple, dim: int, p: int) -> int:
             if f:
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
     return det % p
-
-
-def mat_inv(m: tuple, dim: int, p: int) -> tuple:
-    a = [list(m[i * dim : (i + 1) * dim]) + [1 if j == i else 0 for j in range(dim)] for i in range(dim)]
-    for col in range(dim):
-        piv = next((r for r in range(col, dim) if a[r][col] % p != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is not invertible")
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, p)
-        a[col] = [x * inv % p for x in a[col]]
-        for r in range(dim):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return tuple(a[i][dim + j] for i in range(dim) for j in range(dim))
 
 
 def proj_canonical(m: tuple, p: int) -> tuple:
@@ -231,9 +218,6 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, m: Matrix):
-        return m.entries in self.elements
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -294,9 +278,6 @@ class ProjGroup:
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         return proj_canonical(mat_mul(a, b, self.dim, self.modulus), self.modulus)
-
-    def inv(self, a: tuple) -> tuple:
-        return proj_canonical(mat_inv(a, self.dim, self.modulus), self.modulus)
 
 
 def projectivize(group: MatrixGroup) -> ProjGroup:
@@ -399,47 +380,50 @@ def fixed_points_scan(m: Matrix) -> set[ProjPoint]:
 # constructors
 
 
-def block_diag_mat(a: Matrix, b: Matrix) -> Matrix:
-    p = a.modulus
-    rows = [[0] * 4 for _ in range(4)]
-    ra, rb = a.rows(), b.rows()
-    for i in range(2):
-        for j in range(2):
-            rows[i][j] = ra[i][j]
-            rows[2 + i][2 + j] = rb[i][j]
-    return matrix(rows, p)
+def block_diagonal(g1: MatrixGroup, g2: MatrixGroup) -> ProjGroup:
+    """Projective image in PGL_4 of the direct sum of two dim-2 groups.
 
-
-def block_diagonal(g1: MatrixGroup, g2: MatrixGroup) -> MatrixGroup:
-    """Direct sum of two dim-2 groups inside GL_4."""
+    For a in G1 with first nonzero entry alpha, alpha^-1 a + alpha^-1 b is
+    the canonical representative of the class of a + b: its first nonzero
+    entry is the 1 in the a block.  So each element is the top half of
+    alpha^-1 a joined to the bottom half of alpha^-1 b, with the b halves
+    scaled once per alpha, and only the generators g + I and I + g are
+    canonicalised.
+    """
     if g1.modulus != g2.modulus:
         raise ValueError("groups must share the modulus")
     if g1.dim != 2 or g2.dim != 2:
         raise ValueError("block_diagonal expects dim-2 groups")
-    p = g1.modulus
-    ident = identity(2, p)
-    gens = [block_diag_mat(g, ident) for g in g1.generators]
-    gens += [block_diag_mat(ident, g) for g in g2.generators]
     if g1.order() * g2.order() > DEFAULT_CAP:
         raise ClosureCapError(DEFAULT_CAP)
-    elements = frozenset(
-        (a[0], a[1], 0, 0, a[2], a[3], 0, 0, 0, 0, b[0], b[1], 0, 0, b[2], b[3])
-        for a in g1.elements
-        for b in g2.elements
-    )
-    return MatrixGroup(tuple(gens), 4, p, elements)
+    p = g1.modulus
+
+    def top(a):
+        return (a[0], a[1], 0, 0, a[2], a[3], 0, 0)
+
+    def bottom(b):
+        return (0, 0, b[0], b[1], 0, 0, b[2], b[3])
+
+    ident = mat_identity(2)
+    gens = [proj_canonical(top(g.entries) + bottom(ident), p) for g in g1.generators]
+    gens += [proj_canonical(top(ident) + bottom(g.entries), p) for g in g2.generators]
+    bottoms = {}  # alpha -> bottom halves of alpha^-1 G2
+
+    def classes():
+        for a in g1.elements:
+            alpha = a[0] or a[1]  # a is invertible, so its first row is not zero
+            inv = pow(alpha, -1, p)
+            if alpha not in bottoms:
+                bottoms[alpha] = [bottom([x * inv % p for x in b]) for b in g2.elements]
+            head = top([x * inv % p for x in a])
+            for half in bottoms[alpha]:
+                yield head + half
+
+    return ProjGroup(tuple(dict.fromkeys(gens)), 4, p, frozenset(classes()))
 
 
-def standard_constructors(kind: str, p: int, inner: MatrixGroup | None = None) -> MatrixGroup:
-    """Generator sets for named subgroups of GL_2(F_p) (or the dim-4 wreath)."""
-    if kind == "wreath_s2":
-        if inner is None or inner.dim != 2:
-            raise ValueError("wreath_s2 requires a dim-2 inner group")
-        blocks = block_diagonal(inner, inner)
-        swap = matrix(
-            [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], inner.modulus
-        )
-        return closure(list(blocks.generators) + [swap])
+def standard_constructors(kind: str, p: int) -> MatrixGroup:
+    """Generator sets for named subgroups of GL_2(F_p)."""
     if p == 2 and kind not in ("gl2", "sl2"):
         raise ValueError(f"constructor {kind} needs an odd prime")
     if kind in ("split_cartan", "split_cartan_normalizer", "borel", "gl2"):

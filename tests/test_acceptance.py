@@ -30,10 +30,12 @@ from hassecheck.hasse import (
 from hassecheck.lmfdb import DataSource, fetch_form
 from hassecheck.matgrp import (
     Matrix,
+    MatrixGroup,
     block_diagonal,
     closure,
     fixed_points,
     fixed_points_scan,
+    identity,
     matrix,
     projectivize,
     standard_constructors,
@@ -210,6 +212,32 @@ def test_criterion_4_block_sum_sufficiency(catalogue):
         checked += 1
     dt = time.monotonic() - t0
     note(4, checked >= 20 and dt < 120, f"(pairs={checked}, {dt:.1f}s)")
+
+
+def block_group_oracle(g1, g2):
+    """G1 + G2 the old way: every 16-tuple a + b as a dim-4 matrix group, then projectivised."""
+    p = g1.modulus
+    ident = identity(2, p).entries
+
+    def block(a, b):
+        return (a[0], a[1], 0, 0, a[2], a[3], 0, 0, 0, 0, b[0], b[1], 0, 0, b[2], b[3])
+
+    gens = [Matrix(block(g.entries, ident), 4, p) for g in g1.generators]
+    gens += [Matrix(block(ident, g.entries), 4, p) for g in g2.generators]
+    elements = frozenset(block(a, b) for a in g1.elements for b in g2.elements)
+    return projectivize(MatrixGroup(tuple(gens), 4, p, elements))
+
+
+def test_block_diagonal_matches_the_matrix_group_oracle(catalogue):
+    triv = closure([identity(2, 7)])
+    c4 = closure([matrix([[0, -1], [1, 0]], 7)])
+    pairs = [(triv, triv), (c4, c4)]
+    pairs += [pair for h, g in catalogue for pair in ((h, g), (g, h))]
+    for g1, g2 in pairs:
+        built, oracle = block_diagonal(g1, g2), block_group_oracle(g1, g2)
+        assert built.elements == oracle.elements, (g1.order(), g2.order())
+        assert built.generators == oracle.generators, (g1.order(), g2.order())
+        assert (built.dim, built.modulus) == (4, g1.modulus)
 
 
 def _analyzed(rows):
@@ -393,9 +421,9 @@ def test_criterion_9_property_suites(catalogue):
     expected = is_hasse(base).is_hasse
     for _ in range(100):
         c = ambient[rng.randrange(len(ambient))]
-        cinv = base.inv(c)
-        conj = frozenset(base.mul(base.mul(c, h), cinv) for h in base.elements)
-        gens = tuple(base.mul(base.mul(c, g), cinv) for g in base.generators)
+        adj = (c[3], -c[1], -c[2], c[0])  # det(c) * c^-1, the same projective class
+        conj = frozenset(base.mul(base.mul(c, h), adj) for h in base.elements)
+        gens = tuple(base.mul(base.mul(c, g), adj) for g in base.generators)
         assert is_hasse(ProjGroup(gens, 2, 7, conj)).is_hasse == expected
 
     # scalar invariance of fixed points
@@ -424,7 +452,7 @@ def test_criterion_9_property_suites(catalogue):
         closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7)]),
         closure([matrix([[0, -3], [1, 1]], 7)]),
     )
-    for elt in projectivize(block).elements:
+    for elt in block.elements:
         m = Matrix(elt, 4, 7)
         assert fixed_points(m) == fixed_points_scan(m)
     note(9, True)

@@ -104,6 +104,10 @@ def test_classify_pgl2_cli_at_ell_2(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["classification"]["order"] == 6
     assert doc["classification"]["stabilized_pair"] == "nonsplit"
+    # F_2^x modulo squares is trivial, so the projective determinant is onto
+    assert doc["classification"]["projective_det_surjective"] is True
+    # (l - 1)/2 is not an integer at l = 2
+    assert doc["classification"]["sutherland"]["cond1_dihedral_odd_n"] is False
 
 
 def test_verify_lemma31_cli(tmp_path, capsys):
@@ -117,6 +121,25 @@ def test_verify_lemma31_cli(tmp_path, capsys):
     assert doc["predicted"] is True
     assert doc["brute_force"]["is_hasse"] is True
     assert doc["contract_holds"] is True
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (closure([identity(4, 7)]), "block_diagonal expects dim-2 groups"),
+        (closure([matrix([[0, -4], [1, 1]], 11)]), "groups must share the modulus"),
+    ],
+    ids=["dim-4", "ell-7-and-11"],
+)
+def test_verify_lemma31_rejects_bad_factors(tmp_path, capsys, second, message):
+    g = closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7)])
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    p1.write_text(g.to_json())
+    p2.write_text(second.to_json())
+    rc, out, err = run(capsys, ["verify-lemma31", "--g", str(p1), "--g2", str(p2)])
+    assert rc == EX_OPERATIONAL
+    assert out == ""
+    assert message in err
 
 
 def test_analyze_fixture(capsys):

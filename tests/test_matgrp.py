@@ -107,14 +107,29 @@ def test_fixed_points_scalar_invariance():
             assert fixed_points(m) == fixed_points(scaled)
 
 
+def projective_block_order(g1, g2) -> int:
+    """|G1||G2| / |{lam : lam*I in G1 and in G2}|, the order of G1 + G2 in PGL_4."""
+    p = g1.modulus
+    common = [lam for lam in range(1, p) if (lam, 0, 0, lam) in g1.elements & g2.elements]
+    return g1.order() * g2.order() // len(common)
+
+
 def test_block_diagonal_order_multiplicative():
     triv = closure([identity(2, 7)])
     assert block_diagonal(triv, triv).order() == 1
     g18 = closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7)])
     cyc = closure([matrix([[0, -3], [1, 1]], 7)])
-    assert block_diagonal(g18, cyc).order() == 18 * cyc.order()
     c4 = closure([matrix([[0, -1], [1, 0]], 7)])
-    assert block_diagonal(c4, c4).order() == 16
+    gl2 = standard_constructors("gl2", 7)
+    for g1, g2 in ((g18, cyc), (cyc, g18), (c4, c4), (g18, c4), (gl2, c4)):
+        assert block_diagonal(g1, g2).order() == projective_block_order(g1, g2)
+    assert block_diagonal(c4, c4).order() == 8  # -I + -I is the identity class
+
+
+def test_block_diagonal_cap_is_a_hard_error():
+    gl2 = standard_constructors("gl2", 11)
+    with pytest.raises(ClosureCapError):
+        block_diagonal(gl2, gl2)
 
 
 def test_standard_constructors():
@@ -124,8 +139,6 @@ def test_standard_constructors():
     assert standard_constructors("nonsplit_cartan", 7).order() == 48
     assert standard_constructors("nonsplit_cartan_normalizer", 7).order() == 96
     assert standard_constructors("sl2", 7).order() == 336
-    c4 = closure([matrix([[0, -1], [1, 0]], 7)])
-    assert standard_constructors("wreath_s2", 7, inner=c4).order() == 32
     with pytest.raises(ValueError):
         standard_constructors("sporadic", 7)
 
@@ -165,7 +178,7 @@ def test_has_eigenvalue_matches_the_scan_on_a_dim4_block_group():
     d6 = closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7)])
     seen = set()
     for g1, g2 in ((ns, ns), (d6, ns)):
-        group = projectivize(block_diagonal(g1, g2))
+        group = block_diagonal(g1, g2)
         verdicts = [has_eigenvalue(e, 4, 7) for e in group.elements]
         assert verdicts == [has_eigenvalue_scan(e, 4, 7) for e in group.elements]
         seen.update(verdicts)
