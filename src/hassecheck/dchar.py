@@ -139,22 +139,23 @@ class FpEmbedding:
 
 
 class RingEmbedding:
-    """zeta_m -> a designated element of a coefficient ring."""
+    """zeta_m -> a designated element of a ring: a coefficient ring, or F_l.
+
+    The m powers of zeta are built once, so root_power is a lookup.
+    """
 
     def __init__(self, m: int, zeta, one, zero):
         self.m = m
-        self._zeta = zeta
-        self._one = one
         self._zero = zero
+        self._powers = [one]
+        for _ in range(m - 1):
+            self._powers.append(self._powers[-1] * zeta)
 
     def zero(self):
         return self._zero
 
     def root_power(self, k: int):
-        out = self._one
-        for _ in range(k % self.m):
-            out = out * self._zeta
-        return out
+        return self._powers[k % self.m]
 
 
 @dataclass(frozen=True)

@@ -241,8 +241,9 @@ class NewformRecord:
         zeta = self.quad(*self.zeta_in_field)
         return RingEmbedding(m, zeta, one, zero)
 
-    def nebentypus_value(self, n: int) -> QuadElement:
-        return evaluate(self.char, n, self.char_embedding())
+    def nebentypus_value(self, n: int, embed: RingEmbedding | None = None):
+        """eps(n) in the coefficient ring, or through `embed` when one is given."""
+        return evaluate(self.char, n, self.char_embedding() if embed is None else embed)
 
     def to_dict(self) -> dict:
         out = {
@@ -324,13 +325,24 @@ def reduce_coeff(record: NewformRecord, p: int, rmap: ReductionMap) -> FieldElem
     return rmap.apply(record.coefficient(p))
 
 
-def frob_charpoly(record: NewformRecord, p: int, rmap: ReductionMap) -> FrobData:
+def reduce_char_embedding(record: NewformRecord, rmap: ReductionMap) -> RingEmbedding:
+    """The record's character embedding followed by rmap, valued in F_l.
+
+    Reduction is a ring map, so reducing zeta once gives eps(n) mod the
+    ideal for every n without building a coefficient-ring value.
+    """
+    ring = record.char_embedding()
+    ell = rmap.ell
+    return RingEmbedding(ring.m, rmap.apply(ring.root_power(1)), FieldElement(1, ell), FieldElement(0, ell))
+
+
+def frob_charpoly(record: NewformRecord, p: int, rmap: ReductionMap, embed: RingEmbedding) -> FrobData:
+    """trace a_p and det p*eps(p) mod the ideal of rmap; embed is reduce_char_embedding(record, rmap)."""
     ell = rmap.ell
     if p == ell or record.level % p == 0:
         raise ValueError(f"p = {p} divides l*N; no Frobenius data")
     t = reduce_coeff(record, p, rmap)
-    eps = rmap.apply(record.nebentypus_value(p))
-    d = FieldElement(p, ell) * eps
+    d = FieldElement(p * record.nebentypus_value(p, embed).value, ell)
     if d.value == 0:
         raise ValueError("vanishing determinant")
     return FrobData(p, t, d)

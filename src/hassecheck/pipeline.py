@@ -28,6 +28,7 @@ from .nfdata import (
     default_bound,
     frob_charpoly,
     projective_frob_order,
+    reduce_char_embedding,
     reduce_coeff,
     split_primes,
     sturm_bound,
@@ -45,12 +46,13 @@ def test_primes(level: int, ell: int, bound: int) -> list[int]:
 def frob_table(record: NewformRecord, rmap: ReductionMap, bound: int) -> dict[int, FrobData]:
     """Frobenius data mod the ideal of rmap at every good prime p <= bound.
 
-    trace is a_p and det is p*eps(p), both reduced once here; every stage
-    below reads only this table.
+    trace is a_p and det is p*eps(p), both reduced once here, eps(p) through
+    zeta reduced once for the ideal; every stage below reads only this table.
     """
     if record.ap_max_prime < bound:
         raise DataCoverageError(record.label, bound, record.ap_max_prime)
-    return {p: frob_charpoly(record, p, rmap) for p in test_primes(record.level, rmap.ell, bound)}
+    embed = reduce_char_embedding(record, rmap)
+    return {p: frob_charpoly(record, p, rmap, embed) for p in test_primes(record.level, rmap.ell, bound)}
 
 
 def detect_twist(frob: dict[int, FrobData], level: int):

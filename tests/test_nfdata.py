@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hassecheck.ffield import FieldElement
-from hassecheck.lmfdb import DataSource, fetch_form
+from hassecheck.lmfdb import DataSource, fetch_form, list_fixture_labels
 from hassecheck.matgrp import closure, matrix, projectivize
 from hassecheck.nfdata import (
     BadDenominatorError,
@@ -16,6 +16,7 @@ from hassecheck.nfdata import (
     RamifiedPrimeError,
     frob_charpoly,
     projective_frob_order,
+    reduce_char_embedding,
     split_primes,
     sturm_bound,
 )
@@ -91,12 +92,13 @@ def test_sturm_bound_examples():
 def test_frob_charpoly_on_fixture():
     rec = fetch_form(DataSource(mode="fixtures"), "7938.2.a.bk")
     r3 = split_primes(SQRT2, 7)[0]
-    fd = frob_charpoly(rec, 11, r3)
+    embed = reduce_char_embedding(rec, r3)
+    fd = frob_charpoly(rec, 11, r3, embed)
     assert (fd.trace, fd.det) == (2, 4)
     with pytest.raises(ValueError):
-        frob_charpoly(rec, 7, r3)  # p divides l*N
+        frob_charpoly(rec, 7, r3, embed)  # p divides l*N
     with pytest.raises(ValueError):
-        frob_charpoly(rec, 2, r3)
+        frob_charpoly(rec, 2, r3, embed)
 
 
 def test_frob_missing_coefficient():
@@ -161,8 +163,37 @@ def test_trivial_nebentypus_det_is_p():
     rec = fetch_form(DataSource(mode="fixtures"), "9099.2.a.e")
     r = split_primes(SQRT2, 7)[0]
     for p in (2, 5, 11, 13, 19):
-        fd = frob_charpoly(rec, p, r)
+        fd = frob_charpoly(rec, p, r, reduce_char_embedding(rec, r))
         assert fd.det.value == p % 7
+
+
+def test_reduced_nebentypus_matches_the_ring_oracle():
+    """eps(p) through zeta reduced once per ideal equals the exact ring value, reduced.
+
+    Every fixture that splits at 7, both ideals, every prime p <= ap_max_prime
+    (eps(p) = 0 when p | N); at the good primes frob_charpoly's det is p times it.
+    """
+    src = DataSource(mode="fixtures")
+    orders, unsplit = set(), []
+    for label in list_fixture_labels(src):
+        rec = fetch_form(src, label)
+        try:
+            maps = split_primes(rec.field_poly, 7)
+        except RamifiedPrimeError:
+            maps = None
+        if maps is None:
+            unsplit.append(label)
+            continue
+        orders.add(rec.char.zeta_order)
+        for rmap in maps:
+            embed = reduce_char_embedding(rec, rmap)
+            for p in sorted(rec.ap):
+                oracle = rmap.apply(rec.nebentypus_value(p))
+                assert rec.nebentypus_value(p, embed) == oracle, (label, rmap.root, p)
+                if p != 7 and rec.level % p:
+                    assert frob_charpoly(rec, p, rmap, embed).det == FieldElement(p, 7) * oracle
+    assert unsplit == ["20.2.e.a", "56.2.e.a"]  # inert and ramified at 7
+    assert orders == {1, 2, 3, 6}
 
 
 def test_record_json_round_trip_byte_stable():

@@ -10,6 +10,7 @@ from hassecheck.dchar import trivial_character
 from hassecheck.lmfdb import DataSource, fetch_form, fixture_dir
 from hassecheck.nfdata import DataCoverageError, NewformRecord, QuadElement, split_primes
 from hassecheck.pipeline import (
+    analyze_ideal,
     congruence_check,
     default_bound,
     detect_twist,
@@ -141,6 +142,32 @@ def test_dihedral_order_examples_189():
         assert audit["n"] == 3
 
 
+def test_analyze_ideal_reduces_the_character_embedding_once(monkeypatch):
+    """One ring embedding per ideal, not one per prime: eps(p) is read in F_l."""
+    rec = fetch_form(SRC, "189.2.p.a")
+    embeddings, products = [], []
+    char_embedding, mul = NewformRecord.char_embedding, QuadElement.__mul__
+
+    def counted_embedding(self):
+        embeddings.append(self.label)
+        return char_embedding(self)
+
+    def counted_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(NewformRecord, "char_embedding", counted_embedding)
+    monkeypatch.setattr(QuadElement, "__mul__", counted_mul)
+    for rmap in rmaps(rec):
+        embeddings.clear()
+        products.clear()
+        report = analyze_ideal(rec, rmap, 1000)
+        assert report.status == "dihedral"
+        assert embeddings == ["189.2.p.a"]
+        # only the embedding's powers of zeta, never a ring value per prime
+        assert len(products) < rec.char.zeta_order
+
+
 def test_not_borel_witness():
     rec = fetch_form(SRC, "7938.2.a.bk")
     r4 = rmaps(rec)[1]
@@ -148,9 +175,9 @@ def test_not_borel_witness():
     assert w is not None
     # witness really has irreducible characteristic polynomial
     from hassecheck.ffield import legendre, FieldElement
-    from hassecheck.nfdata import frob_charpoly
+    from hassecheck.nfdata import frob_charpoly, reduce_char_embedding
 
-    fd = frob_charpoly(rec, w, r4)
+    fd = frob_charpoly(rec, w, r4, reduce_char_embedding(rec, r4))
     disc = fd.trace * fd.trace - FieldElement(4, 7) * fd.det
     assert legendre(disc) == -1
     # a Hasse-type dihedral image fixes a point elementwise: no witness exists
