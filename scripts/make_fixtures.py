@@ -464,7 +464,7 @@ def orbit_letter_of(N: int, exps: tuple) -> str:
         )
         orbits[orbit] = o
 
-    dl = basis._dlog_table()
+    dl = basis.dlog_table
 
     def trace_vector(orbit, o):
         rep = min(orbit)

@@ -5,7 +5,7 @@ Runs the level <= 189 scan and the absolutely-simple (Q(sqrt2)-field) scan
 at mod 7, prints the per-ideal image columns and verdicts, and lists any
 structured discrepancies against the published reference values.
 
-Usage:  python3 scripts/reproduce_tables.py [--bound N] [--jobs N]
+Usage:  python3 scripts/reproduce_tables.py [--bound N]
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from hassecheck.refdata import REFERENCE_IMAGES_SIMPLE, reference_discrepancies
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--bound", type=int, default=1000, help="prime bound for the high-level scan")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     src = DataSource(mode="fixtures")
 
     print("== mod-7 scan, level <= 189 (CM forms, both ideals) ==")
-    rows = scan(src, 7, level_max=189, jobs=args.jobs)
+    rows = scan(src, 7, level_max=189)
     print(rows_to_table(rows), end="")
     disc = reference_discrepancies(rows)
     print(f"reference discrepancies: {len(disc)}")
@@ -39,7 +38,7 @@ def main() -> int:
     print()
 
     print("== mod-7 scan, absolutely simple candidates (field Q(sqrt 2)) ==")
-    rows = scan(src, 7, labels=sorted(REFERENCE_IMAGES_SIMPLE), bound=args.bound, jobs=args.jobs)
+    rows = scan(src, 7, labels=sorted(REFERENCE_IMAGES_SIMPLE), bound=args.bound)
     print(rows_to_table(rows), end="")
     disc = reference_discrepancies(rows)
     print(f"reference discrepancies: {len(disc)}")

@@ -115,7 +115,6 @@ def build_parser() -> _Parser:
     s.add_argument("--labels", nargs="*", default=None)
     s.add_argument("--no-cm", action="store_true", help="restrict to non-CM forms")
     s.add_argument("--inner-twist-count", type=int, default=None)
-    s.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     s.add_argument("--format", choices=["table", "json"], default="table")
     s.add_argument("--check-reference", action="store_true",
                    help="append structured discrepancies against the published tables")
@@ -225,7 +224,6 @@ def _cmd_scan(args) -> int:
         filters=filters,
         bound=args.bound,
         labels=args.labels,
-        jobs=args.jobs,
     )
     cfg = _config(args, level_max=args.level_max, filters=filters)
     if args.format == "json":

@@ -9,13 +9,14 @@ same prime-ideal map as the Fourier coefficients it accompanies.
 Generators follow the usual CRT convention: for each odd prime power p^k
 dividing N, the smallest primitive root mod p^k lifted to be 1 at the other
 factors; for 4 the class of -1; for 2^k (k >= 3) the classes of -1 and 5.
-Discrete logs are brute-forced, which is fine for the moduli in scope.
+Discrete logs are read from one table per modulus, enumerated by brute
+force, which is fine for the moduli in scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .ffield import FieldElement, factorize, primitive_root
@@ -86,16 +87,9 @@ class UnitGroupBasis:
                 orders.append(q - q // p)
         return UnitGroupBasis(n, tuple(gens), tuple(orders))
 
-    def dlog(self, a: int) -> tuple:
-        """Exponent vector of a over the basis; brute force per component."""
-        n = self.modulus
-        a %= n
-        if gcd(a, n) != 1:
-            raise ValueError(f"{a} is not a unit mod {n}")
-        return self._dlog_table()[a]
-
-    @lru_cache(maxsize=None)
-    def _dlog_table(self) -> dict:
+    @cached_property
+    def dlog_table(self) -> dict:
+        """Unit residue -> exponent vector, enumerated once per basis."""
         n = self.modulus
         table = {}
 
@@ -177,10 +171,9 @@ class DirichletCharacter:
 
     def exponent_at(self, a: int):
         """Exponent k with chi(a) = zeta^k, or None when gcd(a, N) > 1."""
-        n = self.modulus
-        if gcd(a, n) != 1:
+        dl = self.basis.dlog_table.get(a % self.basis.modulus)
+        if dl is None:
             return None
-        dl = self.basis.dlog(a)
         return sum(e * x for e, x in zip(self.exponents, dl)) % self.zeta_order
 
     def order(self) -> int:

@@ -97,6 +97,8 @@ class ReductionMap:
         ell = self.ell
         num0, den0 = x.c0.numerator, x.c0.denominator
         num1, den1 = x.c1.numerator, x.c1.denominator
+        if den0 == den1 == 1:
+            return FieldElement(num0 + num1 * self.root, ell)
         if den0 % ell == 0 or den1 % ell == 0:
             raise BadDenominatorError(f"denominator divisible by {ell}")
         v = (num0 * pow(den0, -1, ell) + num1 * pow(den1, -1, ell) * self.root) % ell
@@ -167,15 +169,17 @@ def default_bound(level: int) -> int:
 
 @dataclass(frozen=True)
 class FrobData:
+    """Frobenius at p mod a prime ideal above ell: trace and det as residues in [0, ell)."""
+
     p: int
-    trace: FieldElement
-    det: FieldElement
+    trace: int
+    det: int
+    ell: int
 
     @property
     def repeated(self) -> bool:
         """Trace data cannot separate scalar from unipotent-times-scalar."""
-        ell = self.trace.modulus
-        return (self.trace.value**2 - 4 * self.det.value) % ell == 0
+        return (self.trace * self.trace - 4 * self.det) % self.ell == 0
 
 
 def projective_frob_order(fd: FrobData) -> int:
@@ -187,8 +191,7 @@ def projective_frob_order(fd: FrobData) -> int:
     U_k = 0; it is at most l + 1.  A repeated eigenvalue counts as order 1
     (the `repeated` flag records the ambiguity).
     """
-    ell = fd.trace.modulus
-    t, d = fd.trace.value, fd.det.value
+    ell, t, d = fd.ell, fd.trace, fd.det
     if d == 0:
         raise ValueError("determinant must be nonzero")
     if fd.repeated:
@@ -253,7 +256,7 @@ class NewformRecord:
             "char": self.char.to_dict(),
             "field_poly": [self.m0, self.m1, 1],
             "ap": [
-                {"p": p, "coeffs": [int(v.c0), int(v.c1)]}
+                {"p": p, "coeffs": [_coeff_json(v.c0), _coeff_json(v.c1)]}
                 for p, v in sorted(self.ap.items())
             ],
             "cm": self.cm,
@@ -321,6 +324,11 @@ class NewformRecord:
         return NewformRecord.from_dict(json.loads(text))
 
 
+def _coeff_json(c: Fraction):
+    """An int when integral, else the exact "n/d" string that from_dict parses back."""
+    return c.numerator if c.denominator == 1 else str(c)
+
+
 def reduce_coeff(record: NewformRecord, p: int, rmap: ReductionMap) -> FieldElement:
     return rmap.apply(record.coefficient(p))
 
@@ -341,8 +349,8 @@ def frob_charpoly(record: NewformRecord, p: int, rmap: ReductionMap, embed: Ring
     ell = rmap.ell
     if p == ell or record.level % p == 0:
         raise ValueError(f"p = {p} divides l*N; no Frobenius data")
-    t = reduce_coeff(record, p, rmap)
-    d = FieldElement(p * record.nebentypus_value(p, embed).value, ell)
-    if d.value == 0:
+    t = reduce_coeff(record, p, rmap).value
+    d = p * record.nebentypus_value(p, embed).value % ell
+    if d == 0:
         raise ValueError("vanishing determinant")
-    return FrobData(p, t, d)
+    return FrobData(p, t, d, ell)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from . import dchar
-from .dchar import DirichletCharacter, FpEmbedding, evaluate, kernel_field_disc, twist_modulus
-from .ffield import is_prime, legendre, mul_order
+from .dchar import DirichletCharacter, FpEmbedding, kernel_field_disc, twist_modulus
+from .ffield import FieldElement, is_prime, mul_order
 from .lmfdb import DataSource, fetch_form, list_fixture_labels, query_candidates
 from .nfdata import (
     DataCoverageError,
@@ -59,12 +59,14 @@ def detect_twist(frob: dict[int, FrobData], level: int):
     """First nontrivial quadratic self-twist candidate surviving every test.
 
     A character alpha mod q survives when reduce(a_p) = 0 at every tested
-    prime with alpha(p) = -1.  Returns (alpha, kernel_disc) or None.
+    prime with alpha(p) = -1, that is with exponent half of alpha's zeta
+    order.  Returns (alpha, kernel_disc) or None.
     """
     for alpha in dchar.quadratic_characters(twist_modulus(level)):
         if alpha.is_trivial():
             continue
-        if all(fd.trace.value == 0 for p, fd in frob.items() if alpha.sign_value(p) == -1):
+        m = alpha.zeta_order
+        if all(fd.trace == 0 for p, fd in frob.items() if 2 * alpha.exponent_at(p) == m):
             return alpha, kernel_field_disc(alpha)
     return None
 
@@ -75,16 +77,20 @@ def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
     A reducible representation would satisfy a_p = chi(p) + p*eps(p)/chi(p)
     for all good p; each failed character gets a violation certificate (its
     least violating prime), and a surviving character means the data cannot
-    exclude reducibility.
+    exclude reducibility.  With chi(p) = zeta^k for the canonical generator
+    zeta of F_l^x, the test reads t = zeta^k + d * zeta^-k mod l.
     """
-    embed = FpEmbedding(ell - 1, ell)
+    m = ell - 1
+    zeta = FpEmbedding(m, ell).zeta.value
+    up = [pow(zeta, k, ell) for k in range(m)]
+    down = [up[-k % m] for k in range(m)]
     certificates = {}
     survivor = None
     for chi in dchar.fl_valued_characters(level, ell):
         violation = None
         for p, fd in frob.items():
-            chi_p = evaluate(chi, p, embed)
-            if fd.trace != chi_p + fd.det / chi_p:
+            k = chi.exponent_at(p)
+            if fd.trace != (up[k] + fd.det * down[k]) % ell:
                 violation = p
                 break
         if violation is None:
@@ -97,8 +103,8 @@ def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
     # order of the ratio character chi'/chi = omega*eps/chi^2 on the table
     ratio_order = 1
     for p, fd in frob.items():
-        chi_p = evaluate(survivor, p, embed)
-        ratio_order = lcm(ratio_order, mul_order(fd.det / (chi_p * chi_p)))
+        k = survivor.exponent_at(p)
+        ratio_order = lcm(ratio_order, mul_order(FieldElement(fd.det * down[k] * down[k], ell)))
     return {
         "reducible": True,
         "character": survivor,
@@ -120,7 +126,7 @@ def dihedral_order(frob: dict[int, FrobData], alpha: DirichletCharacter, ell: in
     used = 0
     skipped_repeated = []
     for p, fd in frob.items():
-        if alpha.sign_value(p) == -1:
+        if 2 * alpha.exponent_at(p) == alpha.zeta_order:  # alpha(p) = -1
             continue
         if fd.repeated:
             skipped_repeated.append(p)
@@ -143,11 +149,15 @@ def dihedral_order(frob: dict[int, FrobData], alpha: DirichletCharacter, ell: in
 
 
 def not_borel_witness(frob: dict[int, FrobData]):
-    """Least good prime whose Frobenius characteristic polynomial is irreducible."""
-    return next(
-        (p for p, fd in frob.items() if legendre(fd.trace * fd.trace - 4 * fd.det) == -1),
-        None,
-    )
+    """Least good prime whose Frobenius characteristic polynomial is irreducible.
+
+    That is a non-square discriminant t^2 - 4d, by Euler's criterion.
+    """
+    for p, fd in frob.items():
+        ell = fd.ell
+        if pow(fd.trace * fd.trace - 4 * fd.det, (ell - 1) // 2, ell) == ell - 1:
+            return p
+    return None
 
 
 @dataclass
@@ -396,8 +406,7 @@ def congruence_check(
 # scan driver
 
 
-def _scan_one(args):
-    record, ell, bound = args
+def _scan_one(record: NewformRecord, ell: int, bound: int | None) -> dict:
     try:
         verdict, reports = hasse_verdict(record, ell, bound)
     except Exception as exc:  # noqa: BLE001 - per-row capture is the contract
@@ -418,7 +427,6 @@ def scan(
     filters: dict | None = None,
     bound: int | None = None,
     labels: list[str] | None = None,
-    jobs: int = 1,
 ) -> list[dict]:
     """Analyze a set of forms; deterministic label-sorted output rows.
 
@@ -432,7 +440,6 @@ def scan(
         else:
             labels = list_fixture_labels(source)
     rows: list[dict] = []
-    work = []
     for label in sorted(labels):
         try:
             record = fetch_form(source, label)
@@ -450,15 +457,7 @@ def scan(
         if sp is None:
             rows.append({"label": label, "level": record.level, "skipped": "inert"})
             continue
-        work.append((record, ell, bound))
-
-    if jobs > 1 and len(work) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            rows.extend(pool.map(_scan_one, work))
-    else:
-        rows.extend(_scan_one(w) for w in work)
+        rows.append(_scan_one(record, ell, bound))
     rows.sort(key=lambda r: _label_sort_key(r["label"]))
     return rows
 

@@ -163,19 +163,25 @@ def test_verdicts_never_affect_exit_code(capsys):
 
 
 def test_scan_json_byte_identical(capsys):
-    # the worker count changes neither the rows nor the echoed config
-    argv = ["scan", "--ell", "7", "--level-max", "100", "--source", "fixtures",
-            "--format", "json", "--jobs"]
-    rc1, out1, _ = run(capsys, argv + ["1"])
-    rc2, out2, _ = run(capsys, argv + ["2"])
+    argv = ["scan", "--ell", "7", "--level-max", "100", "--source", "fixtures", "--format", "json"]
+    rc1, out1, _ = run(capsys, argv)
+    rc2, out2, _ = run(capsys, argv)
     assert rc1 == rc2 == EX_OK
     assert out1 == out2
+
+
+def test_scan_jobs_is_a_usage_error(capsys):
+    # the scan runs in one process; a stale --jobs must fail loudly
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--ell", "7", "--source", "fixtures", "--jobs", "2"])
+    assert exc.value.code == EX_USAGE
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_scan_table_format_with_reference(capsys):
     rc, out, _ = run(capsys, [
         "scan", "--ell", "7", "--level-max", "189", "--source", "fixtures",
-        "--jobs", "1", "--check-reference",
+        "--check-reference",
     ])
     assert rc == EX_OK
     assert "189.2.p.a" in out
@@ -190,7 +196,7 @@ def test_scan_table_format_with_reference(capsys):
 
 
 def test_undetermined_table_rows_name_the_needed_bound(capsys):
-    rc, out, _ = run(capsys, ["scan", "--ell", "7", "--source", "fixtures", "--jobs", "1"])
+    rc, out, _ = run(capsys, ["scan", "--ell", "7", "--source", "fixtures"])
     assert rc == EX_OK
     lines = [line for line in out.splitlines() if " undetermined " in line]
     assert len(lines) == 7

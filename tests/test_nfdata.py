@@ -1,11 +1,11 @@
 """Quadratic coefficient arithmetic, reduction maps, Frobenius data."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from hassecheck.ffield import FieldElement
 from hassecheck.lmfdb import DataSource, fetch_form, list_fixture_labels
 from hassecheck.matgrp import closure, matrix, projectivize
 from hassecheck.nfdata import (
@@ -111,19 +111,18 @@ def test_frob_missing_coefficient():
 
 
 def test_projective_frob_orders():
-    f7 = lambda v: FieldElement(v, 7)  # noqa: E731
-    assert projective_frob_order(FrobData(11, f7(2), f7(4))) == 3
-    assert projective_frob_order(FrobData(11, f7(0), f7(3))) == 2
-    scalar = FrobData(11, f7(4), f7(4))
+    assert projective_frob_order(FrobData(11, 2, 4, 7)) == 3
+    assert projective_frob_order(FrobData(11, 0, 3, 7)) == 2
+    scalar = FrobData(11, 4, 4, 7)
     assert scalar.repeated and projective_frob_order(scalar) == 1
-    assert projective_frob_order(FrobData(11, f7(1), f7(4))) == 4  # nonsplit ratio
+    assert projective_frob_order(FrobData(11, 1, 4, 7)) == 4  # nonsplit ratio
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
 def test_projective_frob_order_is_the_companion_matrix_order(ell):
     for t in range(ell):
         for d in range(1, ell):
-            fd = FrobData(2, FieldElement(t, ell), FieldElement(d, ell))
+            fd = FrobData(2, t, d, ell)
             if fd.repeated:
                 continue
             companion = closure([matrix([[t, -d], [1, 0]], ell)])
@@ -150,12 +149,11 @@ def test_split_primes_finds_the_roots_in_ascending_order(ell):
 
 
 def test_projective_order_depends_only_on_t2_over_d():
-    f7 = lambda v: FieldElement(v, 7)  # noqa: E731
     for t in range(7):
         for d in range(1, 7):
-            base = projective_frob_order(FrobData(2, f7(t), f7(d)))
+            base = projective_frob_order(FrobData(2, t, d, 7))
             for lam in range(1, 7):
-                scaled = projective_frob_order(FrobData(2, f7(lam * t), f7(lam * lam * d)))
+                scaled = projective_frob_order(FrobData(2, lam * t % 7, lam * lam * d % 7, 7))
                 assert scaled == base
 
 
@@ -164,7 +162,7 @@ def test_trivial_nebentypus_det_is_p():
     r = split_primes(SQRT2, 7)[0]
     for p in (2, 5, 11, 13, 19):
         fd = frob_charpoly(rec, p, r, reduce_char_embedding(rec, r))
-        assert fd.det.value == p % 7
+        assert fd.det == p % 7
 
 
 def test_reduced_nebentypus_matches_the_ring_oracle():
@@ -191,7 +189,7 @@ def test_reduced_nebentypus_matches_the_ring_oracle():
                 oracle = rmap.apply(rec.nebentypus_value(p))
                 assert rec.nebentypus_value(p, embed) == oracle, (label, rmap.root, p)
                 if p != 7 and rec.level % p:
-                    assert frob_charpoly(rec, p, rmap, embed).det == FieldElement(p, 7) * oracle
+                    assert frob_charpoly(rec, p, rmap, embed).det == p * oracle.value % 7
     assert unsplit == ["20.2.e.a", "56.2.e.a"]  # inert and ramified at 7
     assert orders == {1, 2, 3, 6}
 
@@ -203,3 +201,23 @@ def test_record_json_round_trip_byte_stable():
     assert rec2.to_json() == text
     assert rec2.ap == rec.ap
     assert rec2.char == rec.char
+
+
+def test_record_json_round_trip_keeps_non_integral_coefficients():
+    """a_2 = 1/7 survives a save and reload (as to the http cache), so its
+    reduction mod 7 still fails instead of reading a_2 = 0."""
+    rec = fetch_form(DataSource(mode="fixtures"), "117.2.g.a")
+    data = rec.to_dict()
+    next(a for a in data["ap"] if a["p"] == 2)["coeffs"] = ["1/7", "-3/2"]
+    bad = NewformRecord.from_dict(data)
+    assert bad.coefficient(2) == rec.quad(Fraction(1, 7), Fraction(-3, 2))
+    text = bad.to_json()
+    back = NewformRecord.from_json(text)
+    assert back.ap == bad.ap
+    assert back.to_json() == text
+    assert {"p": 2, "coeffs": ["1/7", "-3/2"]} in json.loads(text)["ap"]
+    rmap = split_primes(rec.field_poly, 7)[0]
+    with pytest.raises(BadDenominatorError):
+        rmap.apply(back.coefficient(2))
+    # integral coefficients stay JSON ints, so fixture and cache bytes keep their form
+    assert all(type(c) is int for item in rec.to_dict()["ap"] for c in item["coeffs"])

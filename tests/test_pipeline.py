@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hassecheck.dchar import trivial_character
+from hassecheck.dchar import UnitGroupBasis, trivial_character
 from hassecheck.lmfdb import DataSource, fetch_form, fixture_dir
 from hassecheck.nfdata import DataCoverageError, NewformRecord, QuadElement, split_primes
 from hassecheck.pipeline import (
@@ -178,8 +178,7 @@ def test_not_borel_witness():
     from hassecheck.nfdata import frob_charpoly, reduce_char_embedding
 
     fd = frob_charpoly(rec, w, r4, reduce_char_embedding(rec, r4))
-    disc = fd.trace * fd.trace - FieldElement(4, 7) * fd.det
-    assert legendre(disc) == -1
+    assert legendre(FieldElement(fd.trace * fd.trace - 4 * fd.det, 7)) == -1
     # a Hasse-type dihedral image fixes a point elementwise: no witness exists
     rec2 = fetch_form(SRC, "189.2.p.a")
     for rmap in rmaps(rec2):
@@ -304,14 +303,15 @@ def test_scan_filters_non_cm():
     ]
 
 
-def test_scan_parallel_matches_serial():
-    serial = scan(SRC, 7, level_max=189, jobs=1)
-    parallel = scan(SRC, 7, level_max=189, jobs=2)
-    assert serial == parallel
+def test_two_scans_give_equal_rows():
+    # the second scan reads the per-modulus dlog tables the first one built
+    UnitGroupBasis.for_modulus.cache_clear()
+    cold = scan(SRC, 7, bound=1000)
+    warm = scan(SRC, 7, bound=1000)
+    assert cold == warm
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_turns_analysis_failures_into_error_rows(tmp_path, jobs):
+def test_scan_turns_analysis_failures_into_error_rows(tmp_path):
     for path in fixture_dir().glob("*.json"):
         shutil.copy(path, tmp_path)
 
@@ -330,8 +330,8 @@ def test_scan_turns_analysis_failures_into_error_rows(tmp_path, jobs):
     corrupt("49.2.c.a", lambda d: d.update(ap=[a for a in d["ap"] if a["p"] != 11]))
     corrupt("117.2.q.b", lambda d: d.update(zeta_in_field=[-1, 1]))  # a cube root, not a sixth
 
-    clean = scan(SRC, 7, level_max=189, jobs=1)
-    rows = scan(DataSource(mode="fixtures", fixtures=tmp_path), 7, level_max=189, jobs=jobs)
+    clean = scan(SRC, 7, level_max=189)
+    rows = scan(DataSource(mode="fixtures", fixtures=tmp_path), 7, level_max=189)
     errors = {r["label"]: r for r in rows if "error" in r}
     assert errors == {
         "117.2.g.a": {"label": "117.2.g.a", "error": "BadDenominatorError: denominator divisible by 7"},
