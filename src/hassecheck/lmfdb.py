@@ -18,6 +18,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -221,6 +222,15 @@ def translate_labels(payload: dict) -> list[str]:
         raise TransportError(f"malformed candidate payload: {str(payload)[:200]}") from exc
 
 
+def _exact(c) -> Fraction:
+    """An upstream coefficient (int, "n/d" string or decimal) as an exact rational.
+
+    Never truncated: a denominator must reach the reduction map, which
+    rejects the ideals it divides.
+    """
+    return Fraction(str(c))
+
+
 def translate_newform(payload: dict, label: str, bound: int, source: DataSource) -> dict:
     """Map an upstream newform object (plus its eigenvalue data) to our schema."""
     try:
@@ -244,7 +254,7 @@ def translate_newform(payload: dict, label: str, bound: int, source: DataSource)
         maxp = int(hecke["maxp"])
         primes = [p for p in range(2, maxp + 1) if is_prime(p)]
         ap = [
-            {"p": p, "coeffs": [int(c[0]), int(c[1])]}
+            {"p": p, "coeffs": [_exact(c[0]), _exact(c[1])]}
             for p, c in zip(primes, ap_rows)
             if p <= bound
         ]
@@ -262,5 +272,5 @@ def translate_newform(payload: dict, label: str, bound: int, source: DataSource)
             "zeta_in_field": row.get("zeta_in_field"),
             "provenance": "fetched",
         }
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise TransportError(f"malformed newform payload: {str(payload)[:200]}") from exc

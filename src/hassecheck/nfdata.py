@@ -97,8 +97,6 @@ class ReductionMap:
         ell = self.ell
         num0, den0 = x.c0.numerator, x.c0.denominator
         num1, den1 = x.c1.numerator, x.c1.denominator
-        if den0 == den1 == 1:
-            return FieldElement(num0 + num1 * self.root, ell)
         if den0 % ell == 0 or den1 % ell == 0:
             raise BadDenominatorError(f"denominator divisible by {ell}")
         v = (num0 * pow(den0, -1, ell) + num1 * pow(den1, -1, ell) * self.root) % ell

@@ -59,14 +59,12 @@ def detect_twist(frob: dict[int, FrobData], level: int):
     """First nontrivial quadratic self-twist candidate surviving every test.
 
     A character alpha mod q survives when reduce(a_p) = 0 at every tested
-    prime with alpha(p) = -1, that is with exponent half of alpha's zeta
-    order.  Returns (alpha, kernel_disc) or None.
+    prime with alpha(p) = -1.  Returns (alpha, kernel_disc) or None.
     """
     for alpha in dchar.quadratic_characters(twist_modulus(level)):
         if alpha.is_trivial():
             continue
-        m = alpha.zeta_order
-        if all(fd.trace == 0 for p, fd in frob.items() if 2 * alpha.exponent_at(p) == m):
+        if all(fd.trace == 0 for p, fd in frob.items() if alpha.sign_value(p) == -1):
             return alpha, kernel_field_disc(alpha)
     return None
 
@@ -126,7 +124,7 @@ def dihedral_order(frob: dict[int, FrobData], alpha: DirichletCharacter, ell: in
     used = 0
     skipped_repeated = []
     for p, fd in frob.items():
-        if 2 * alpha.exponent_at(p) == alpha.zeta_order:  # alpha(p) = -1
+        if alpha.sign_value(p) == -1:
             continue
         if fd.repeated:
             skipped_repeated.append(p)

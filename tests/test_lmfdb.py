@@ -136,3 +136,58 @@ def test_http_mode_uses_injected_transport(tmp_path):
     with pytest.raises(TransportError):
         fetch_form(src, "11.2.a.a", bound=10)
     assert calls and "mf_newforms" in calls[0]
+
+
+def _upstream_payloads(record, maxp):
+    """The two upstream answers (newform row, Hecke data) that translate to `record`."""
+    primes = [p for p in range(2, maxp + 1) if all(p % q for q in range(2, p))]
+    char = record.char
+    row = {
+        "level": record.level,
+        "weight": record.weight,
+        "field_poly": list(record.field_poly),
+        "char_order": char.zeta_order,
+        "char_gens": list(char.basis.generators),
+        "char_values": list(char.exponents),
+        "is_cm": record.cm,
+        "cm_disc": record.cm_disc,
+        "inner_twist_count": record.inner_twist_count,
+        "zeta_in_field": list(record.zeta_in_field) if record.zeta_in_field else None,
+    }
+    ap = [[str(record.ap[p].c0), str(record.ap[p].c1)] for p in primes]
+    return {"data": [row]}, {"data": [{"ap": ap, "maxp": maxp}]}
+
+
+def _http_source(tmp_path, newform, hecke):
+    def fake_transport(url, params):
+        return hecke if "mf_hecke_nf" in url else newform
+
+    return DataSource(mode="http", cache_dir=tmp_path, transport=fake_transport, delay=0)
+
+
+def test_fetched_non_integral_coefficient_is_kept_exactly(tmp_path):
+    from fractions import Fraction
+
+    from hassecheck.pipeline import _scan_one
+
+    record = fetch_form(fixtures_source(), "189.2.p.a")
+    newform, hecke = _upstream_payloads(record, 100)
+    fetched = fetch_form(_http_source(tmp_path, newform, hecke), "189.2.p.a", bound=100)
+    assert all(fetched.ap[p] == record.ap[p] for p in fetched.ap)
+    assert "error" not in _scan_one(fetched, 7, 100)
+
+    hecke["data"][0]["ap"][0] = ["1/7", "0"]  # a_2 = 1/7; 2 is a good prime of 189
+    fetched = fetch_form(_http_source(tmp_path / "b", newform, hecke), "189.2.p.a", bound=100)
+    assert (fetched.ap[2].c0, fetched.ap[2].c1) == (Fraction(1, 7), 0)
+    cached = fetch_form(DataSource(mode="cache_only", cache_dir=tmp_path / "b"), "189.2.p.a", bound=100)
+    assert cached.to_json() == fetched.to_json()
+    assert cached.ap[2].c0 == Fraction(1, 7)
+    assert _scan_one(cached, 7, 100)["error"] == "BadDenominatorError: denominator divisible by 7"
+
+
+def test_malformed_upstream_coefficient_is_a_transport_error(tmp_path):
+    record = fetch_form(fixtures_source(), "189.2.p.a")
+    newform, hecke = _upstream_payloads(record, 100)
+    hecke["data"][0]["ap"][0] = ["a", "0"]
+    with pytest.raises(TransportError):
+        fetch_form(_http_source(tmp_path, newform, hecke), "189.2.p.a", bound=100)
