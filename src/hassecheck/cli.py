@@ -124,7 +124,6 @@ def build_parser() -> _Parser:
     f.add_argument("--label", default=None)
     f.add_argument("--bound", type=int, default=None)
     f.add_argument("--source", default="http", choices=["fixtures", "http", "cache_only"])
-    f.add_argument("--dimension", type=int, default=2)
     f.add_argument("--cm", choices=["true", "false"], default=None)
     f.add_argument("--inner-twist-count", type=int, default=None)
     f.add_argument("--level-range", nargs=2, type=int, default=None)
@@ -255,7 +254,7 @@ def _cmd_fetch(args) -> int:
         }
         print(canonical_json(doc), end="")
         return EX_OK
-    filters = {"dimension": args.dimension}
+    filters = {"dimension": 2}  # records are quadratic-field forms only
     if args.cm is not None:
         filters["cm"] = args.cm == "true"
     if args.inner_twist_count is not None:

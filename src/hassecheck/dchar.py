@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .ffield import FieldElement, factorize, primitive_root
+from .ffield import factorize
 
 
 class EmbeddingError(ValueError):
@@ -111,39 +111,17 @@ class UnitGroupBasis:
 # embeddings of the abstract root of unity
 
 
-class FpEmbedding:
-    """zeta_m -> the canonical element of exact order m in F_l^x."""
-
-    def __init__(self, m: int, ell: int):
-        self.m = m
-        self.ell = ell
-        if m == 1:
-            self.zeta = FieldElement(1, ell)
-            return
-        if (ell - 1) % m:
-            raise EmbeddingError(f"F_{ell} has no element of order {m}")
-        g = FieldElement(primitive_root(ell), ell)
-        self.zeta = g ** ((ell - 1) // m)
-
-    def zero(self):
-        return FieldElement(0, self.ell)
-
-    def root_power(self, k: int):
-        return self.zeta ** (k % self.m)
-
-
 class RingEmbedding:
     """zeta_m -> a designated element of a ring: a coefficient ring, or F_l.
 
-    The m powers of zeta are built once, so root_power is a lookup.
+    The caller passes the m powers zeta^0, ..., zeta^(m-1), so root_power is
+    a lookup.
     """
 
-    def __init__(self, m: int, zeta, one, zero):
-        self.m = m
+    def __init__(self, powers, zero):
+        self.m = len(powers)
         self._zero = zero
-        self._powers = [one]
-        for _ in range(m - 1):
-            self._powers.append(self._powers[-1] * zeta)
+        self._powers = powers
 
     def zero(self):
         return self._zero
@@ -230,11 +208,6 @@ class DirichletCharacter:
             )
         exps = tuple(images[g] for g in basis.generators)
         return DirichletCharacter(basis, data["zeta_order"], exps)
-
-
-def trivial_character(n: int) -> DirichletCharacter:
-    basis = UnitGroupBasis.for_modulus(n)
-    return DirichletCharacter(basis, 1, tuple(0 for _ in basis.generators))
 
 
 def evaluate(chi: DirichletCharacter, a: int, embed):

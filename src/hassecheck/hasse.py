@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from .matgrp import (
     MatrixGroup,
     ProjGroup,
-    ProjPoint,
     all_proj_points,
     block_diagonal,
     fixed_points,
     has_eigenvalue,
     mat_det,
     mat_identity,
-    Matrix,
     point_canonical,
     proj_canonical,
     projectivize,
@@ -35,25 +33,21 @@ LATTICE_BOUND = 1320
 class HasseResult:
     is_hasse: bool
     violating_element: tuple | None = None
-    global_fixed_point: ProjPoint | None = None
+    global_fixed_point: tuple | None = None
 
     def to_dict(self):
         return {
             "is_hasse": self.is_hasse,
             "violating_element": list(self.violating_element) if self.violating_element else None,
-            "global_fixed_point": list(self.global_fixed_point.coords) if self.global_fixed_point else None,
+            "global_fixed_point": list(self.global_fixed_point) if self.global_fixed_point else None,
         }
 
 
-def _element_fixed_points(elt: tuple, dim: int, p: int) -> set[ProjPoint]:
-    return fixed_points(Matrix(elt, dim, p))
-
-
-def global_fixed_points(group: ProjGroup) -> set[ProjPoint]:
+def global_fixed_points(group: ProjGroup) -> set[tuple]:
     """Points fixed by every generator (equivalently, by the whole group)."""
-    common: set[ProjPoint] | None = None
+    common: set[tuple] | None = None
     for g in group.generators:
-        pts = _element_fixed_points(g, group.dim, group.modulus)
+        pts = fixed_points(g, group.dim, group.modulus)
         common = pts if common is None else common & pts
         if not common:
             return set()
@@ -179,7 +173,7 @@ def _pair_stabilized(group: ProjGroup) -> str:
     p = group.modulus
     found = "none"
     for form in all_proj_points(3, p):
-        a, b, c = form.coords
+        a, b, c = form
         zeros = (a == 0) + sum((a * x * x + b * x + c) % p == 0 for x in range(p))
         if zeros == 1:
             continue
@@ -253,7 +247,7 @@ def classify_pgl2(group: ProjGroup) -> Pgl2Classification:
     # n generates the one rotation subgroup, and for the Klein group (n = 2)
     # each of the three C2s is a candidate.
     rotation_fixes = dihedral_n is not None and any(
-        _element_fixed_points(g, 2, p) for g, o in orders.items() if o == dihedral_n
+        fixed_points(g, 2, p) for g, o in orders.items() if o == dihedral_n
     )
 
     # (l - 1)/2 is an integer only for odd l

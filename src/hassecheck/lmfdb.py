@@ -18,12 +18,11 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .ffield import is_prime
-from .nfdata import NewformRecord, default_bound
+from .nfdata import NewformRecord, default_bound, exact_rational
 
 DEFAULT_BASE_URL = "https://www.lmfdb.org/api"
 LABEL_RE = re.compile(r"^(\d+)\.(\d+)\.([a-z]+)\.([a-z]+)$")
@@ -222,15 +221,6 @@ def translate_labels(payload: dict) -> list[str]:
         raise TransportError(f"malformed candidate payload: {str(payload)[:200]}") from exc
 
 
-def _exact(c) -> Fraction:
-    """An upstream coefficient (int, "n/d" string or decimal) as an exact rational.
-
-    Never truncated: a denominator must reach the reduction map, which
-    rejects the ideals it divides.
-    """
-    return Fraction(str(c))
-
-
 def translate_newform(payload: dict, label: str, bound: int, source: DataSource) -> dict:
     """Map an upstream newform object (plus its eigenvalue data) to our schema."""
     try:
@@ -254,7 +244,7 @@ def translate_newform(payload: dict, label: str, bound: int, source: DataSource)
         maxp = int(hecke["maxp"])
         primes = [p for p in range(2, maxp + 1) if is_prime(p)]
         ap = [
-            {"p": p, "coeffs": [_exact(c[0]), _exact(c[1])]}
+            {"p": p, "coeffs": [exact_rational(c[0]), exact_rational(c[1])]}
             for p, c in zip(primes, ap_rows)
             if p <= bound
         ]

@@ -1,7 +1,9 @@
 """Small dense matrices over F_l, generated-subgroup closure, projectivisation.
 
-Matrices are stored as flat row-major tuples of ints in [0, l); the
-dimension (2 or 4) and modulus travel with each object.  Group closures are
+Matrices are flat row-major tuples of ints in [0, l), and projective
+points are coordinate tuples; the kernels take the dimension (2 or 4) and
+the modulus as arguments.  `Matrix` carries both for input read from group
+files, and validates it.  Group closures are
 plain breadth-first products, capped hard: the groups of interest here are
 tiny and hitting the cap signals misuse, not a need for a bigger budget.
 A projective group holds one canonical representative per scalar class.
@@ -106,34 +108,25 @@ def kernel_basis(m: tuple, dim: int, p: int) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# projective points
+# projective points: coordinate tuples whose first nonzero entry is 1
 
 
-@dataclass(frozen=True, order=True)
-class ProjPoint:
-    coords: tuple
-    modulus: int
-
-    def __repr__(self):
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
-
-
-def point_canonical(coords: tuple, p: int) -> ProjPoint:
+def point_canonical(coords: tuple, p: int) -> tuple:
     for c in coords:
         if c % p:
             inv = pow(c, -1, p)
-            return ProjPoint(tuple(x * inv % p for x in coords), p)
+            return tuple(x * inv % p for x in coords)
     raise ValueError("zero vector is not a projective point")
 
 
-def all_proj_points(dim: int, p: int) -> list[ProjPoint]:
+def all_proj_points(dim: int, p: int) -> list[tuple]:
     """All points of P^{dim-1}(F_p) in canonical form, sorted."""
     pts = []
 
     def rec(prefix, started):
         if len(prefix) == dim:
             if started:
-                pts.append(ProjPoint(tuple(prefix), p))
+                pts.append(tuple(prefix))
             return
         if not started:
             rec(prefix + [0], False)
@@ -146,7 +139,7 @@ def all_proj_points(dim: int, p: int) -> list[ProjPoint]:
     return sorted(pts)
 
 
-def subspace_points(basis: list[tuple], dim: int, p: int) -> set[ProjPoint]:
+def subspace_points(basis: list[tuple], dim: int, p: int) -> set[tuple]:
     """Projectivised points of the span of `basis`."""
     pts = set()
     k = len(basis)
@@ -180,6 +173,9 @@ class Matrix:
             raise ValueError("dim must be 2 or 4")
         if len(self.entries) != self.dim * self.dim:
             raise ValueError("entry count does not match dim")
+        for e in self.entries:
+            if type(e) is not int:
+                raise ValueError(f"matrix entries must be integers, not {e!r}")
         if not is_prime(self.modulus):
             raise ValueError(f"modulus {self.modulus} is not prime")
         object.__setattr__(self, "entries", tuple(e % self.modulus for e in self.entries))
@@ -202,10 +198,6 @@ def matrix(rows, p: int) -> Matrix:
     flat = tuple(e for row in rows for e in row)
     dim = len(rows)
     return Matrix(flat, dim, p)
-
-
-def identity(dim: int, p: int) -> Matrix:
-    return Matrix(mat_identity(dim), dim, p)
 
 
 @dataclass(frozen=True)
@@ -342,32 +334,31 @@ def has_eigenvalue(m: tuple, dim: int, p: int) -> bool:
     return next(_roots(charpoly(m, dim, p), p), None) is not None
 
 
-def fixed_points(m: Matrix) -> set[ProjPoint]:
+def fixed_points(m: tuple, dim: int, p: int) -> set[tuple]:
     """All projective points x with m.x proportional to x.
 
     Each root of the characteristic polynomial is an eigenvalue; its
     eigenspace is projectivised.
     """
-    dim, p = m.dim, m.modulus
-    coeffs = charpoly(m.entries, dim, p)
+    coeffs = charpoly(m, dim, p)
     if coeffs[-1] == 0:
         raise SingularMatrixError("fixed points only defined for invertible matrices")
-    pts: set[ProjPoint] = set()
+    pts: set[tuple] = set()
     for lam in _roots(coeffs, p):
-        shifted = list(m.entries)
+        shifted = list(m)
         for i in range(dim):
             shifted[i * dim + i] = (shifted[i * dim + i] - lam) % p
         pts |= subspace_points(kernel_basis(tuple(shifted), dim, p), dim, p)
     return pts
 
 
-def fixed_points_scan(m: Matrix) -> set[ProjPoint]:
+def fixed_points_scan(m: Matrix) -> set[tuple]:
     """Oracle version of fixed_points: scan every projective point."""
     dim, p = m.dim, m.modulus
     pts = set()
     for pt in all_proj_points(dim, p):
         img = tuple(
-            sum(m.entries[i * dim + j] * pt.coords[j] for j in range(dim)) % p
+            sum(m.entries[i * dim + j] * pt[j] for j in range(dim)) % p
             for i in range(dim)
         )
         if any(img):

@@ -35,6 +35,16 @@ class BadDenominatorError(ValueError):
     pass
 
 
+def exact_rational(c) -> Fraction:
+    """A coefficient (int, "n/d" string, decimal or Fraction) as an exact rational.
+
+    Read from its text, so the decimal 0.1 is 1/10 and not the binary double
+    nearest to it.  Never truncated: a denominator must reach the reduction
+    map, which rejects the ideals it divides.  A bool is not a coefficient.
+    """
+    return Fraction(c) if type(c) is int else Fraction(str(c))
+
+
 @dataclass(frozen=True)
 class QuadElement:
     """c0 + c1*g with g a root of x^2 + m1*x + m0 (monic integer quadratic)."""
@@ -46,7 +56,7 @@ class QuadElement:
 
     @staticmethod
     def make(c0, c1, m0, m1) -> "QuadElement":
-        return QuadElement(Fraction(c0), Fraction(c1), m0, m1)
+        return QuadElement(exact_rational(c0), exact_rational(c1), m0, m1)
 
     def _same(self, other):
         if (self.m0, self.m1) != (other.m0, other.m1):
@@ -77,9 +87,6 @@ class QuadElement:
         # g + g' = -m1
         return QuadElement(self.c0 - self.m1 * self.c1, -self.c1, self.m0, self.m1)
 
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0
-
     def __repr__(self):
         return f"({self.c0} + {self.c1}*g)"
 
@@ -91,7 +98,8 @@ class ReductionMap:
     m0: int
     m1: int
 
-    def apply(self, x: QuadElement) -> FieldElement:
+    def apply(self, x: QuadElement) -> int:
+        """The residue of x in [0, ell)."""
         if (x.m0, x.m1) != (self.m0, self.m1):
             raise ValueError("element does not belong to this field")
         ell = self.ell
@@ -99,8 +107,7 @@ class ReductionMap:
         num1, den1 = x.c1.numerator, x.c1.denominator
         if den0 % ell == 0 or den1 % ell == 0:
             raise BadDenominatorError(f"denominator divisible by {ell}")
-        v = (num0 * pow(den0, -1, ell) + num1 * pow(den1, -1, ell) * self.root) % ell
-        return FieldElement(v, ell)
+        return (num0 * pow(den0, -1, ell) + num1 * pow(den1, -1, ell) * self.root) % ell
 
     def ideal_display(self) -> str:
         """A small generator a + b*g of the kernel ideal, for report readability.
@@ -232,15 +239,17 @@ class NewformRecord:
         return self.ap[p]
 
     def char_embedding(self) -> RingEmbedding:
-        m = self.char.zeta_order
-        one = self.quad(1, 0)
-        zero = self.quad(0, 0)
+        m = max(self.char.zeta_order, 1)
         if m <= 2:
-            return RingEmbedding(max(m, 1), self.quad(-1, 0) if m == 2 else one, one, zero)
-        if self.zeta_in_field is None:
+            zeta = self.quad(-1 if m == 2 else 1, 0)
+        elif self.zeta_in_field is None:
             raise ValueError(f"{self.label}: character needs zeta_in_field")
-        zeta = self.quad(*self.zeta_in_field)
-        return RingEmbedding(m, zeta, one, zero)
+        else:
+            zeta = self.quad(*self.zeta_in_field)
+        powers = [self.quad(1, 0)]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * zeta)
+        return RingEmbedding(powers, self.quad(0, 0))
 
     def nebentypus_value(self, n: int, embed: RingEmbedding | None = None):
         """eps(n) in the coefficient ring, or through `embed` when one is given."""
@@ -327,19 +336,20 @@ def _coeff_json(c: Fraction):
     return c.numerator if c.denominator == 1 else str(c)
 
 
-def reduce_coeff(record: NewformRecord, p: int, rmap: ReductionMap) -> FieldElement:
+def reduce_coeff(record: NewformRecord, p: int, rmap: ReductionMap) -> int:
     return rmap.apply(record.coefficient(p))
 
 
 def reduce_char_embedding(record: NewformRecord, rmap: ReductionMap) -> RingEmbedding:
-    """The record's character embedding followed by rmap, valued in F_l.
+    """The record's character embedding followed by rmap, valued in [0, l).
 
     Reduction is a ring map, so reducing zeta once gives eps(n) mod the
     ideal for every n without building a coefficient-ring value.
     """
     ring = record.char_embedding()
     ell = rmap.ell
-    return RingEmbedding(ring.m, rmap.apply(ring.root_power(1)), FieldElement(1, ell), FieldElement(0, ell))
+    zeta = rmap.apply(ring.root_power(1))
+    return RingEmbedding([pow(zeta, k, ell) for k in range(ring.m)], 0)
 
 
 def frob_charpoly(record: NewformRecord, p: int, rmap: ReductionMap, embed: RingEmbedding) -> FrobData:
@@ -347,8 +357,8 @@ def frob_charpoly(record: NewformRecord, p: int, rmap: ReductionMap, embed: Ring
     ell = rmap.ell
     if p == ell or record.level % p == 0:
         raise ValueError(f"p = {p} divides l*N; no Frobenius data")
-    t = reduce_coeff(record, p, rmap).value
-    d = p * record.nebentypus_value(p, embed).value % ell
+    t = reduce_coeff(record, p, rmap)
+    d = p * record.nebentypus_value(p, embed) % ell
     if d == 0:
         raise ValueError("vanishing determinant")
     return FrobData(p, t, d, ell)

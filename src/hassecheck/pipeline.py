@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from . import dchar
-from .dchar import DirichletCharacter, FpEmbedding, kernel_field_disc, twist_modulus
-from .ffield import FieldElement, is_prime, mul_order
+from .dchar import DirichletCharacter, kernel_field_disc, twist_modulus
+from .ffield import FieldElement, is_prime, mul_order, primitive_root
 from .lmfdb import DataSource, fetch_form, list_fixture_labels, query_candidates
 from .nfdata import (
     DataCoverageError,
@@ -75,11 +75,12 @@ def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
     A reducible representation would satisfy a_p = chi(p) + p*eps(p)/chi(p)
     for all good p; each failed character gets a violation certificate (its
     least violating prime), and a surviving character means the data cannot
-    exclude reducibility.  With chi(p) = zeta^k for the canonical generator
-    zeta of F_l^x, the test reads t = zeta^k + d * zeta^-k mod l.
+    exclude reducibility.  With chi(p) = zeta^k for the generator
+    zeta = primitive_root(l) of F_l^x, the test reads
+    t = zeta^k + d * zeta^-k mod l.
     """
     m = ell - 1
-    zeta = FpEmbedding(m, ell).zeta.value
+    zeta = primitive_root(ell)
     up = [pow(zeta, k, ell) for k in range(m)]
     down = [up[-k % m] for k in range(m)]
     certificates = {}

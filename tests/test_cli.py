@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hassecheck.cli import EX_OK, EX_OPERATIONAL, EX_USAGE, main
-from hassecheck.matgrp import Matrix, closure, identity, matrix, projectivize
+from hassecheck.matgrp import Matrix, closure, matrix, projectivize, standard_constructors
 from hassecheck.nfdata import default_bound
 
 
@@ -69,12 +69,36 @@ def test_enumerate_hasse_generators_close_to_the_printed_order(capsys, ell):
 
 def test_check_group_trivial(tmp_path, capsys):
     path = tmp_path / "trivial.json"
-    path.write_text(closure([identity(2, 7)]).to_json())
+    path.write_text(closure([matrix([[1, 0], [0, 1]], 7)]).to_json())
     rc, out, _ = run(capsys, ["check-group", "--file", str(path)])
     assert rc == EX_OK
     doc = json.loads(out)
     assert doc["result"]["is_hasse"] is False
     assert doc["result"]["global_fixed_point"] is not None
+
+
+@pytest.mark.parametrize(
+    "kind, point", [("borel", [1, 0]), ("split_cartan", [0, 1])], ids=["borel", "split-cartan"]
+)
+def test_check_group_reports_the_least_global_fixed_point(tmp_path, capsys, kind, point):
+    # the Borel group fixes (1:0) alone; the split Cartan fixes (0:1) and (1:0)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(standard_constructors(kind, 7).to_json())
+    rc, out, _ = run(capsys, ["check-group", "--file", str(path)])
+    assert rc == EX_OK
+    assert json.loads(out)["result"]["global_fixed_point"] == point
+
+
+@pytest.mark.parametrize(
+    "entry, shown", [(1.5, "1.5"), ("1", "'1'"), (True, "True")], ids=["float", "string", "bool"]
+)
+def test_check_group_rejects_non_integer_entries(tmp_path, capsys, entry, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"modulus": 7, "dim": 2, "generators": [[entry, 0, 0, 1]]}))
+    rc, out, err = run(capsys, ["check-group", "--file", str(path)])
+    assert rc == EX_OPERATIONAL
+    assert out == ""
+    assert f"ValueError: matrix entries must be integers, not {shown}" in err
 
 
 def test_check_group_d6(tmp_path, capsys):
@@ -126,7 +150,10 @@ def test_verify_lemma31_cli(tmp_path, capsys):
 @pytest.mark.parametrize(
     "second, message",
     [
-        (closure([identity(4, 7)]), "block_diagonal expects dim-2 groups"),
+        (
+            closure([matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 7)]),
+            "block_diagonal expects dim-2 groups",
+        ),
         (closure([matrix([[0, -4], [1, 1]], 11)]), "groups must share the modulus"),
     ],
     ids=["dim-4", "ell-7-and-11"],
@@ -221,6 +248,14 @@ def test_fetch_lists_candidates_from_fixtures(capsys):
     assert rc == EX_OK
     labels = json.loads(out)["labels"]
     assert "7938.2.a.bj" in labels and len(labels) == 6
+
+
+def test_fetch_dimension_is_a_usage_error(capsys):
+    # records are quadratic-field forms only, so the dimension is not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["fetch", "--source", "fixtures", "--dimension", "4"])
+    assert exc.value.code == EX_USAGE
+    assert "--dimension" in capsys.readouterr().err
 
 
 def test_reproduce_tables_script_runs():

@@ -10,16 +10,18 @@ import hypothesis.strategies as st
 from hassecheck.dchar import (
     DirichletCharacter,
     EmbeddingError,
-    FpEmbedding,
+    RingEmbedding,
     UnitGroupBasis,
     evaluate,
     fl_valued_characters,
     kernel_field_disc,
     quadratic_characters,
-    trivial_character,
     twist_modulus,
 )
 from hassecheck.lmfdb import DataSource, fetch_form
+
+# zeta_6 -> 3, a generator of F_7^x: the powers 3^k mod 7
+F7 = RingEmbedding([pow(3, k, 7) for k in range(6)], 0)
 
 
 def test_twist_modulus():
@@ -61,10 +63,10 @@ def test_fl_valued_counts():
 
 
 def test_trivial_character_evaluates_to_one():
-    chi = trivial_character(21)
-    embed = FpEmbedding(6, 7)
-    assert evaluate(chi, 2, embed).value == 1
-    assert evaluate(chi, 7, embed).value == 0  # gcd > 1
+    basis = UnitGroupBasis.for_modulus(21)
+    chi = DirichletCharacter(basis, 1, (0,) * len(basis.generators))
+    assert evaluate(chi, 2, F7) == 1
+    assert evaluate(chi, 7, F7) == 0  # gcd > 1
 
 
 def test_canonical_basis_for_189():
@@ -92,19 +94,21 @@ def test_reference_nebentypus_of_189_2_p_a():
     assert (int(a4_from_hecke.c0), int(a4_from_hecke.c1)) == (-2, 2)
 
 
-def test_embedding_requires_order():
+def test_evaluate_rejects_an_embedding_of_too_small_order():
+    chi = fl_valued_characters(189, 7)[7]
+    assert chi.zeta_order == 6
+    # zeta_2 -> -1 in F_7: an embedding of order 2, not a multiple of 6
     with pytest.raises(EmbeddingError):
-        FpEmbedding(5, 7)  # no order-5 element in F_7
+        evaluate(chi, 2, RingEmbedding([1, 6], 0))
 
 
 def test_multiplicativity():
     chi = fl_valued_characters(189, 7)[7]
-    embed = FpEmbedding(6, 7)
     for a in range(1, 60):
         for b in range(1, 30):
-            va, vb = evaluate(chi, a, embed), evaluate(chi, b, embed)
-            vab = evaluate(chi, a * b, embed)
-            assert va * vb == vab
+            va, vb = evaluate(chi, a, F7), evaluate(chi, b, F7)
+            vab = evaluate(chi, a * b, F7)
+            assert va * vb % 7 == vab
 
 
 @given(st.sampled_from([8, 21, 40, 49, 63, 189]), st.integers(0, 10**6), st.integers(0, 10**6))

@@ -11,8 +11,8 @@ from math import lcm
 import pytest
 
 from hassecheck import dchar
-from hassecheck.dchar import FpEmbedding, evaluate, kernel_field_disc, twist_modulus
-from hassecheck.ffield import FieldElement, legendre, mul_order
+from hassecheck.dchar import RingEmbedding, evaluate, kernel_field_disc, twist_modulus
+from hassecheck.ffield import FieldElement, legendre, mul_order, primitive_root
 from hassecheck.lmfdb import DataSource, fetch_form, list_fixture_labels
 from hassecheck.nfdata import DataCoverageError, RamifiedPrimeError, default_bound, split_primes
 from hassecheck.pipeline import (
@@ -50,8 +50,12 @@ def test_every_fixture_but_the_inert_and_ramified_one_splits():
 def ring_table(record, rmap, bound):
     """p -> (a_p, p * eps(p)) as FieldElements, eps(p) the exact ring value reduced."""
     ell = rmap.ell
+
+    def reduce(x):
+        return FieldElement(rmap.apply(x), ell)
+
     return {
-        p: (rmap.apply(record.coefficient(p)), FieldElement(p, ell) * rmap.apply(record.nebentypus_value(p)))
+        p: (reduce(record.coefficient(p)), FieldElement(p, ell) * reduce(record.nebentypus_value(p)))
         for p in good_primes(record.level, ell, bound)
     }
 
@@ -66,7 +70,9 @@ def fe_detect_twist(frob, level):
 
 
 def fe_exclude_reducible(frob, level, ell):
-    embed = FpEmbedding(ell - 1, ell)
+    # zeta_(l-1) -> the least primitive root, as FieldElement powers
+    g = FieldElement(primitive_root(ell), ell)
+    embed = RingEmbedding([g**k for k in range(ell - 1)], FieldElement(0, ell))
     certificates = {}
     survivor = None
     for chi in dchar.fl_valued_characters(level, ell):

@@ -16,7 +16,6 @@ from hassecheck.matgrp import (
     ProjGroup,
     all_proj_points,
     closure,
-    identity,
     mat_identity,
     matrix,
     point_canonical,
@@ -31,7 +30,7 @@ def d6_group(p=7):
 
 
 def test_trivial_group_not_hasse():
-    res = is_hasse(projectivize(closure([identity(2, 7)])))
+    res = is_hasse(projectivize(closure([matrix([[1, 0], [0, 1]], 7)])))
     assert not res.is_hasse
     assert res.global_fixed_point is not None
 
@@ -49,7 +48,7 @@ def test_full_pgl2_not_hasse_with_violator():
     # the witness genuinely fixes nothing, and is the least element that does
     from hassecheck.matgrp import Matrix, fixed_points, fixed_points_scan
 
-    assert fixed_points(Matrix(v, 2, 7)) == set()
+    assert fixed_points(v, 2, 7) == set()
     assert v == min(e for e in group.elements if not fixed_points_scan(Matrix(e, 2, 7)))
 
 
@@ -70,7 +69,7 @@ def test_classify_split_cartan_normalizer():
 
 
 def test_classify_trivial():
-    cls = classify_pgl2(projectivize(closure([identity(2, 7)])))
+    cls = classify_pgl2(projectivize(closure([matrix([[1, 0], [0, 1]], 7)])))
     assert cls.dickson_label == "cyclic(1)"
     assert not cls.sutherland.cond1_dihedral_odd_n
 
@@ -95,7 +94,7 @@ def pair_stabilized_oracle(group: ProjGroup) -> str:
 
     for i, a in enumerate(pts):
         for b in pts[i + 1 :]:
-            if all({image(g, a.coords), image(g, b.coords)} == {a, b} for g in group.generators):
+            if all({image(g, a), image(g, b)} == {a, b} for g in group.generators):
                 return "split"
     s = least_nonresidue(p)
 
@@ -170,7 +169,7 @@ def test_lemma31_examples():
     out = lemma31_check(g, g2)
     assert out["predicted"] and out["brute_force"].is_hasse
 
-    triv = closure([identity(2, 7)])
+    triv = closure([matrix([[1, 0], [0, 1]], 7)])
     out = lemma31_check(triv, triv)
     assert not out["predicted"] and not out["brute_force"].is_hasse
     assert out["brute_force"].global_fixed_point is not None

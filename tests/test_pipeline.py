@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hassecheck.dchar import UnitGroupBasis, trivial_character
+from hassecheck.dchar import DirichletCharacter, UnitGroupBasis
 from hassecheck.lmfdb import DataSource, fetch_form, fixture_dir
 from hassecheck.nfdata import DataCoverageError, NewformRecord, QuadElement, split_primes
 from hassecheck.pipeline import (
@@ -88,7 +88,7 @@ def _engineered_reducible():
         label="77.2.a.x",
         level=77,
         weight=2,
-        char=trivial_character(77),
+        char=DirichletCharacter(UnitGroupBasis.for_modulus(77), 1, (0, 0)),
         field_poly=(-2, 0, 1),
         ap=ap,
         cm=False,
