@@ -53,6 +53,14 @@ def _odd_prime(text: str) -> int:
     return ell
 
 
+def _bound(text: str) -> int:
+    """argparse type for --bound on the newform commands: no prime lies below 2."""
+    bound = int(text)
+    if bound < 2:
+        raise argparse.ArgumentTypeError(f"{bound} is below 2, so no prime would be tested")
+    return bound
+
+
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str) + "\n"
 
@@ -104,14 +112,14 @@ def build_parser() -> _Parser:
     a.add_argument("--label", required=True)
     a.add_argument("--ell", type=_odd_prime, required=True)
     a.add_argument("--source", default="fixtures", choices=["fixtures", "http", "cache_only"])
-    a.add_argument("--bound", type=int, default=None)
+    a.add_argument("--bound", type=_bound, default=None)
     a.add_argument("--cache-dir", default=None)
 
     s = sub.add_parser("scan", help="batch analysis over a label set")
     s.add_argument("--ell", type=_odd_prime, required=True)
     s.add_argument("--level-max", type=int, default=None)
     s.add_argument("--source", default="fixtures", choices=["fixtures", "http", "cache_only"])
-    s.add_argument("--bound", type=int, default=None)
+    s.add_argument("--bound", type=_bound, default=None)
     s.add_argument("--labels", nargs="*", default=None)
     s.add_argument("--no-cm", action="store_true", help="restrict to non-CM forms")
     s.add_argument("--inner-twist-count", type=int, default=None)
@@ -122,7 +130,7 @@ def build_parser() -> _Parser:
 
     f = sub.add_parser("fetch", help="fetch one form into the cache, or list candidate labels")
     f.add_argument("--label", default=None)
-    f.add_argument("--bound", type=int, default=None)
+    f.add_argument("--bound", type=_bound, default=None)
     f.add_argument("--source", default="http", choices=["fixtures", "http", "cache_only"])
     f.add_argument("--cm", choices=["true", "false"], default=None)
     f.add_argument("--inner-twist-count", type=int, default=None)
@@ -135,7 +143,7 @@ def build_parser() -> _Parser:
     q.add_argument("--ell", type=_odd_prime, required=True)
     q.add_argument("--root-f", type=int, default=None)
     q.add_argument("--root-g", type=int, default=None)
-    q.add_argument("--bound", type=int, default=None)
+    q.add_argument("--bound", type=_bound, default=None)
     q.add_argument("--source", default="fixtures", choices=["fixtures", "http", "cache_only"])
     q.add_argument("--cache-dir", default=None)
     return p

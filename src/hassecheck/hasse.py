@@ -16,11 +16,12 @@ from .matgrp import (
     ProjGroup,
     all_proj_points,
     block_diagonal,
+    charpoly,
     fixed_points,
     has_eigenvalue,
     mat_det,
     mat_identity,
-    point_canonical,
+    pgl2_order,
     proj_canonical,
     projectivize,
 )
@@ -120,39 +121,12 @@ class Pgl2Classification:
         }
 
 
-def _cyclic_subgroup(group: ProjGroup, g: tuple) -> frozenset:
-    ident = proj_canonical(mat_identity(group.dim), group.modulus)
-    out = {ident}
-    x = g
-    while x != ident:
-        out.add(x)
-        x = group.mul(x, g)
-    return frozenset(out)
-
-
-def _dihedral_structure(group: ProjGroup, orders: dict):
-    """Return n if the group is dihedral of order 2n (n >= 2), else None.
-
-    Dihedral here means: a cyclic index-2 subgroup plus an involution that
-    inverts it.  The Klein four-group counts as dihedral with n = 2.
-    """
-    size = group.order()
-    if size % 2 or size < 4:
-        return None
-    n = size // 2
-    ident = proj_canonical(mat_identity(group.dim), group.modulus)
-    for g, og in orders.items():
-        if og != n:
-            continue
-        cyc = _cyclic_subgroup(group, g)
-        for r in group.elements:
-            if r in cyc or orders[r] != 2:
-                continue
-            # with r^2 = 1, r g r = g^-1 exactly when (r g)^2 = 1
-            rg = group.mul(r, g)
-            if group.mul(rg, rg) == ident:
-                return n
-    return None
+def element_order(elt: tuple, p: int) -> int:
+    """Order of an element of PGL2(F_p): 1 for a scalar, else read from its charpoly."""
+    a, b, c, d = elt
+    if b == c == 0 and a == d:
+        return 1
+    return pgl2_order(*charpoly(elt, 2, p), p)
 
 
 def _pair_stabilized(group: ProjGroup) -> str:
@@ -183,7 +157,7 @@ def _pair_stabilized(group: ProjGroup) -> str:
                 2 * a * g0 * g1 + b * (g0 * g3 + g1 * g2) + 2 * c * g2 * g3,
                 a * g1 * g1 + b * g1 * g3 + c * g3 * g3,
             )
-            if point_canonical(image, p) != form:
+            if proj_canonical(image, p) != form:
                 break
         else:
             if zeros == 2:
@@ -207,36 +181,36 @@ def classify_pgl2(group: ProjGroup) -> Pgl2Classification:
         raise ValueError("classify_pgl2 expects a dim-2 projective group")
     p = group.modulus
     size = group.order()
-    orders = {elt: len(_cyclic_subgroup(group, elt)) for elt in group.elements}
+    orders = {elt: element_order(elt, p) for elt in group.elements}
     order_multiset = tuple(sorted(orders.values()))
     det_values = _proj_det_values(group)
 
     dihedral_n = None
     cyclic_n = size if size in orders.values() else None
 
-    label = None
+    full = p * (p * p - 1)
     if cyclic_n is not None:
         label = f"cyclic({cyclic_n})"
+    elif size % 2 == 0 and size >= 4 and size // 2 in orders.values():
+        # By Dickson, a non-cyclic subgroup of PGL2(F_p) of order 2n >= 4 with
+        # an element of order n is dihedral (the Klein group is n = 2): no
+        # other group with a cyclic subgroup of index 2 embeds in PGL2(F_p).
+        dihedral_n = size // 2
+        label = f"dihedral({size})"
+    elif size == full:
+        label = "pgl2"
+    elif size == full // 2 and det_values == {1}:
+        label = "psl2"
+    elif size == 12 and set(orders.values()) <= {1, 2, 3}:
+        label = "A4"
+    elif size == 24 and order_multiset == tuple(sorted([1] + [2] * 9 + [3] * 8 + [4] * 6)):
+        label = "S4"
+    elif size == 60 and set(orders.values()) <= {1, 2, 3, 5}:
+        label = "A5"
+    elif global_fixed_points(group):
+        label = "borel_contained"
     else:
-        dihedral_n = _dihedral_structure(group, orders)
-        if dihedral_n is not None:
-            label = f"dihedral({2 * dihedral_n})"
-    if label is None:
-        full = p * (p * p - 1)
-        if size == full:
-            label = "pgl2"
-        elif size == full // 2 and det_values == {1}:
-            label = "psl2"
-        elif size == 12 and set(orders.values()) <= {1, 2, 3}:
-            label = "A4"
-        elif size == 24 and order_multiset == tuple(sorted([1] + [2] * 9 + [3] * 8 + [4] * 6)):
-            label = "S4"
-        elif size == 60 and set(orders.values()) <= {1, 2, 3, 5}:
-            label = "A5"
-        elif global_fixed_points(group):
-            label = "borel_contained"
-        else:
-            label = "other"
+        label = "other"
 
     pair = _pair_stabilized(group)
     # F_2^x modulo squares is trivial, so at l = 2 the map is onto its one value

@@ -68,7 +68,7 @@ def mat_det(m: tuple, dim: int, p: int) -> int:
 
 
 def proj_canonical(m: tuple, p: int) -> tuple:
-    """Canonical representative of the scalar class: first nonzero entry 1."""
+    """Canonical representative of the scalar class of a matrix or a point: first nonzero entry 1."""
     for e in m:
         if e % p:
             if e == 1 and min(m) >= 0 and max(m) < p:
@@ -108,15 +108,7 @@ def kernel_basis(m: tuple, dim: int, p: int) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# projective points: coordinate tuples whose first nonzero entry is 1
-
-
-def point_canonical(coords: tuple, p: int) -> tuple:
-    for c in coords:
-        if c % p:
-            inv = pow(c, -1, p)
-            return tuple(x * inv % p for x in coords)
-    raise ValueError("zero vector is not a projective point")
+# projective points: coordinate tuples in `proj_canonical` form
 
 
 def all_proj_points(dim: int, p: int) -> list[tuple]:
@@ -149,7 +141,7 @@ def subspace_points(basis: list[tuple], dim: int, p: int) -> set[tuple]:
     def combos(i, acc):
         if i == k:
             if any(acc):
-                pts.add(point_canonical(tuple(acc), p))
+                pts.add(proj_canonical(tuple(acc), p))
             return
         for c in range(p):
             combos(i + 1, [(x + c * y) % p for x, y in zip(acc, basis[i])])
@@ -169,6 +161,10 @@ class Matrix:
     modulus: int
 
     def __post_init__(self):
+        for name in ("dim", "modulus"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.dim not in (2, 4):
             raise ValueError("dim must be 2 or 4")
         if len(self.entries) != self.dim * self.dim:
@@ -318,6 +314,22 @@ def charpoly(m: tuple, dim: int, p: int) -> tuple:
     return (c1 % p, c2 % p, c3 % p, c4 % p)
 
 
+def pgl2_order(t: int, d: int, p: int) -> int:
+    """Order in PGL2(F_p) of a non-scalar matrix with trace t and determinant d != 0.
+
+    Such a matrix is conjugate to its companion matrix C = [[t, -d], [1, 0]].
+    C^k = U_k C - d U_{k-1} I for the Lucas sequence U_0 = 0, U_1 = 1,
+    U_{k+1} = t U_k - d U_{k-1}, and C is not scalar, so the order is the
+    least k >= 1 with U_k = 0; it is at most p + 1.  For a repeated
+    eigenvalue lam, U_k = k lam^(k-1), so the order is p: a unipotent times
+    a scalar.
+    """
+    u_prev, u, k = 0, 1, 1
+    while u:
+        u_prev, u, k = u, (t * u - d * u_prev) % p, k + 1
+    return k
+
+
 def _roots(coeffs: tuple, p: int):
     """Roots in F_p, ascending, of x^n - c_1 x^(n-1) + c_2 x^(n-2) - ... for coeffs (c_1, ..., c_n)."""
     signed = [-c if k % 2 else c for k, c in enumerate(coeffs, 1)]
@@ -362,7 +374,7 @@ def fixed_points_scan(m: Matrix) -> set[tuple]:
             for i in range(dim)
         )
         if any(img):
-            if point_canonical(img, p) == pt:
+            if proj_canonical(img, p) == pt:
                 pts.add(pt)
     return pts
 

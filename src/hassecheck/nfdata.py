@@ -16,6 +16,7 @@ from math import floor
 
 from .dchar import DirichletCharacter, RingEmbedding, evaluate, twist_modulus
 from .ffield import FieldElement, factorize, is_prime, legendre
+from .matgrp import pgl2_order
 
 
 class RamifiedPrimeError(ValueError):
@@ -188,23 +189,17 @@ class FrobData:
 
 
 def projective_frob_order(fd: FrobData) -> int:
-    """Order in PGL2(F_l) of the companion matrix C = [[t, -d], [1, 0]].
+    """Order in PGL2(F_l) of Frobenius: the order of its eigenvalue ratio.
 
-    That is the order of the eigenvalue ratio of the Frobenius matrix.
-    C^k = U_k C - d U_{k-1} I for the Lucas sequence U_0 = 0, U_1 = 1,
-    U_{k+1} = t U_k - d U_{k-1}, so the order is the least k >= 1 with
-    U_k = 0; it is at most l + 1.  A repeated eigenvalue counts as order 1
-    (the `repeated` flag records the ambiguity).
+    A repeated eigenvalue counts as order 1: trace data cannot tell a scalar
+    from a unipotent times a scalar (the `repeated` flag records the
+    ambiguity).
     """
-    ell, t, d = fd.ell, fd.trace, fd.det
-    if d == 0:
+    if fd.det == 0:
         raise ValueError("determinant must be nonzero")
     if fd.repeated:
         return 1
-    u_prev, u, k = 0, 1, 1
-    while u:
-        u_prev, u, k = u, (t * u - d * u_prev) % ell, k + 1
-    return k
+    return pgl2_order(fd.trace, fd.det, fd.ell)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from hassecheck.cli import EX_OK, EX_OPERATIONAL, EX_USAGE, main
 from hassecheck.matgrp import Matrix, closure, matrix, projectivize, standard_constructors
 from hassecheck.nfdata import default_bound
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def run(capsys, argv):
     rc = main(argv)
@@ -47,6 +49,20 @@ def test_ell_2_is_a_usage_error_on_the_newform_commands(capsys, argv):
     assert exc.value.code == EX_USAGE
 
 
+@pytest.mark.parametrize("bound", ["0", "1", "-5"])
+@pytest.mark.parametrize(
+    "argv", NEWFORM_COMMANDS + [["fetch", "--label", "49.2.c.a", "--source", "fixtures"]], ids=lambda a: a[0]
+)
+def test_bound_below_2_is_a_usage_error(capsys, argv, bound):
+    # no prime is below 2, so such a bound would test nothing and still print verdicts
+    if argv[0] != "fetch":
+        argv = argv + ["--ell", "7"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--bound", bound])
+    assert exc.value.code == EX_USAGE
+    assert "--bound" in capsys.readouterr().err
+
+
 def test_enumerate_hasse_ell_2(capsys):
     rc, out, _ = run(capsys, ["enumerate-hasse", "--ell", "2"])
     assert rc == EX_OK
@@ -65,6 +81,15 @@ def test_enumerate_hasse_generators_close_to_the_printed_order(capsys, ell):
     for sub in subs:
         lifts = [Matrix(tuple(g), 2, ell) for g in sub["generators"]]
         assert projectivize(closure(lifts)).order() == sub["order"]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_enumerate_hasse_stdout_matches_golden(capsys, monkeypatch, ell):
+    # the config echoes $HASSE_CACHE_DIR; the goldens were written without it
+    monkeypatch.delenv("HASSE_CACHE_DIR", raising=False)
+    rc, out, _ = run(capsys, ["enumerate-hasse", "--ell", str(ell)])
+    assert rc == EX_OK
+    assert out == (GOLDEN / f"enumerate_hasse_ell{ell}.json").read_text()
 
 
 def test_check_group_trivial(tmp_path, capsys):
@@ -99,6 +124,17 @@ def test_check_group_rejects_non_integer_entries(tmp_path, capsys, entry, shown)
     assert rc == EX_OPERATIONAL
     assert out == ""
     assert f"ValueError: matrix entries must be integers, not {shown}" in err
+
+
+@pytest.mark.parametrize("field, value", [("modulus", 7.0), ("dim", 2.0)])
+def test_check_group_rejects_a_non_int_modulus_or_dim(tmp_path, capsys, field, value):
+    path = tmp_path / "bad.json"
+    doc = {"modulus": 7, "dim": 2, "generators": [[1, 0, 0, 1]], field: value}
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["check-group", "--file", str(path)])
+    assert rc == EX_OPERATIONAL
+    assert out == ""
+    assert f"ValueError: {field} must be an integer, not {value}" in err
 
 
 def test_check_group_d6(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Hasse property, PGL2 classification, block-sum checker, subgroup lattice."""
 
+import functools
 import random
+from pathlib import Path
 
 import pytest
 
+from hassecheck.cli import canonical_json
 from hassecheck.hasse import (
     classify_pgl2,
+    element_order,
     enumerate_subgroups,
     global_fixed_points,
     is_hasse,
@@ -18,11 +22,12 @@ from hassecheck.matgrp import (
     closure,
     mat_identity,
     matrix,
-    point_canonical,
     proj_canonical,
     projectivize,
     standard_constructors,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def d6_group(p=7):
@@ -90,7 +95,7 @@ def pair_stabilized_oracle(group: ProjGroup) -> str:
     pts = all_proj_points(2, p)
 
     def image(g, coords):
-        return point_canonical((g[0] * coords[0] + g[1] * coords[1], g[2] * coords[0] + g[3] * coords[1]), p)
+        return proj_canonical((g[0] * coords[0] + g[1] * coords[1], g[2] * coords[0] + g[3] * coords[1]), p)
 
     for i, a in enumerate(pts):
         for b in pts[i + 1 :]:
@@ -131,6 +136,104 @@ KINDS = [
     "nonsplit_cartan_normalizer",
     "sl2",
 ]
+
+
+@functools.cache
+def pinned_groups() -> list[tuple[str, ProjGroup]]:
+    """(name, group) for every lattice class at l <= 7 and every standard constructor at l <= 13."""
+    out = []
+    for ell in (2, 3, 5, 7):
+        lattice = enumerate_subgroups(projectivize(standard_constructors("gl2", ell)))
+        out += [(f"lattice-{ell}-{i}", sub) for i, sub in enumerate(lattice)]
+    for ell in (2, 3, 5, 7, 11, 13):
+        for kind in KINDS if ell > 2 else ["gl2", "sl2"]:
+            out.append((f"{kind}-{ell}", projectivize(standard_constructors(kind, ell))))
+    return out
+
+
+def classification_rows() -> list[str]:
+    """One canonical JSON line per pinned group: `to_dict()`, `dihedral_n` and `cyclic_n`.
+
+    `tests/golden/classify_pgl2.jsonl` holds these lines as the element-
+    multiplying classifier printed them, before orders were read from
+    characteristic polynomials.
+    """
+    rows = []
+    for name, group in pinned_groups():
+        cls = classify_pgl2(group)
+        row = {"group": name, "classification": cls.to_dict()}
+        row.update(dihedral_n=cls.dihedral_n, cyclic_n=cls.cyclic_n)
+        rows.append(canonical_json(row).rstrip("\n"))
+    return rows
+
+
+def test_classification_matches_golden():
+    assert classification_rows() == (GOLDEN / "classify_pgl2.jsonl").read_text().splitlines()
+
+
+def cyclic_subgroup_oracle(group: ProjGroup, g: tuple) -> frozenset:
+    ident = proj_canonical(mat_identity(group.dim), group.modulus)
+    out = {ident}
+    x = g
+    while x != ident:
+        out.add(x)
+        x = group.mul(x, g)
+    return frozenset(out)
+
+
+def dihedral_structure_oracle(group: ProjGroup, orders: dict):
+    """Return n if the group is dihedral of order 2n (n >= 2), else None.
+
+    Dihedral here means: a cyclic index-2 subgroup plus an involution that
+    inverts it.  The Klein four-group counts as dihedral with n = 2.
+    """
+    size = group.order()
+    if size % 2 or size < 4:
+        return None
+    n = size // 2
+    ident = proj_canonical(mat_identity(group.dim), group.modulus)
+    for g, og in orders.items():
+        if og != n:
+            continue
+        cyc = cyclic_subgroup_oracle(group, g)
+        for r in group.elements:
+            if r in cyc or orders[r] != 2:
+                continue
+            # with r^2 = 1, r g r = g^-1 exactly when (r g)^2 = 1
+            rg = group.mul(r, g)
+            if group.mul(rg, rg) == ident:
+                return n
+    return None
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_element_order_matches_the_cyclic_subgroup_oracle(ell):
+    group = projectivize(standard_constructors("gl2", ell))
+    for g in group.elements:
+        assert element_order(g, ell) == len(cyclic_subgroup_oracle(group, g)), g
+
+
+def test_dihedral_n_matches_the_dihedral_structure_oracle():
+    for name, group in pinned_groups():
+        orders = {g: len(cyclic_subgroup_oracle(group, g)) for g in group.elements}
+        assert classify_pgl2(group).dihedral_n == dihedral_structure_oracle(group, orders), name
+
+
+def test_classify_pgl2_multiplies_no_elements(monkeypatch):
+    calls = []
+    mul = ProjGroup.mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(ProjGroup, "mul", counted)
+    pgl2 = projectivize(standard_constructors("gl2", 7))
+    pgl2.mul(pgl2.generators[0], pgl2.generators[0])  # the wrapper counts
+    assert len(calls) == 1
+    for group in (pgl2, projectivize(d6_group()), projectivize(standard_constructors("borel", 11))):
+        classify_pgl2(group)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("ell", [11, 13])

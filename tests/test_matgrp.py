@@ -163,6 +163,13 @@ def test_json_round_trip():
     assert g2.to_json() == g.to_json()
 
 
+@pytest.mark.parametrize("field, value", [("modulus", 7.0), ("modulus", True), ("dim", 2.0), ("dim", "2")])
+def test_matrix_rejects_a_non_int_modulus_or_dim(field, value):
+    args = {"entries": (1, 0, 0, 1), "dim": 2, "modulus": 7, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer, not {value!r}"):
+        Matrix(**args)
+
+
 def test_fixed_point_existence_matches_charpoly_roots_on_gl2_f7():
     # cross-check on every element of the preimage of PGL2(F7)
     gl2 = standard_constructors("gl2", 7)
