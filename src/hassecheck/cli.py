@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .ffield import is_prime
 from .hasse import LATTICE_BOUND, classify_pgl2, enumerate_subgroups, is_hasse, lemma31_check
-from .lmfdb import DataSource, fetch_form, from_env, query_candidates
+from .lmfdb import DataSource, fetch_form, query_candidates
 from .matgrp import MatrixGroup, projectivize, standard_constructors
 from .pipeline import (
     congruence_check,
@@ -66,14 +66,7 @@ def canonical_json(doc) -> str:
 
 
 def _source(args) -> DataSource:
-    mode = getattr(args, "source", "fixtures")
-    if mode == "fixtures":
-        src = DataSource(mode="fixtures")
-    else:
-        src = from_env(mode)
-    if getattr(args, "cache_dir", None):
-        src.cache_dir = args.cache_dir
-    return src
+    return DataSource(mode=args.source, cache_dir=args.cache_dir)
 
 
 def _config(args, **extra) -> dict:
@@ -297,7 +290,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "enumerate-hasse":
+        order = args.ell * (args.ell * args.ell - 1)
+        if args.bound < order:
+            parser.error(f"--bound {args.bound} is below |PGL2(F_{args.ell})| = {order}")
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:

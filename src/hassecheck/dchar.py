@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from math import gcd
 
 from .ffield import factorize
@@ -235,25 +236,23 @@ def twist_modulus(n: int) -> int:
     return q
 
 
+def _characters(n: int, m: int) -> list[DirichletCharacter]:
+    """All characters mod n of order dividing m, in exponent-vector order.
+
+    The image of a generator of order o is a power of zeta_m whose exponent
+    is a multiple of m / gcd(o, m).
+    """
+    basis = UnitGroupBasis.for_modulus(n)
+    steps = [range(0, m, m // gcd(o, m)) for o in basis.orders]
+    return [DirichletCharacter(basis, m, exps) for exps in product(*steps)]
+
+
 def quadratic_characters(q: int) -> list[DirichletCharacter]:
     """All characters mod q of order dividing 2, trivial one first.
 
     Sorted by (conductor, exponent vector) so iteration order is canonical.
     """
-    basis = UnitGroupBasis.for_modulus(q)
-    chars = []
-
-    def rec(i, exps):
-        if i == len(basis.generators):
-            chars.append(DirichletCharacter(basis, 2, tuple(exps)))
-            return
-        rec(i + 1, exps + [0])
-        if basis.orders[i] % 2 == 0:
-            rec(i + 1, exps + [1])
-
-    rec(0, [])
-    chars.sort(key=lambda c: (c.conductor(), c.exponents))
-    return chars
+    return sorted(_characters(q, 2), key=lambda c: (c.conductor(), c.exponents))
 
 
 def kernel_field_disc(chi: DirichletCharacter) -> int:
@@ -271,20 +270,5 @@ def kernel_field_disc(chi: DirichletCharacter) -> int:
 
 
 def fl_valued_characters(n: int, ell: int) -> list[DirichletCharacter]:
-    """All characters mod n of order dividing ell - 1, canonical order."""
-    basis = UnitGroupBasis.for_modulus(n)
-    m = ell - 1
-    chars = []
-
-    def rec(i, exps):
-        if i == len(basis.generators):
-            chars.append(DirichletCharacter(basis, m, tuple(exps)))
-            return
-        o = basis.orders[i]
-        step = m // gcd(o, m)
-        for e in range(0, m, step):
-            rec(i + 1, exps + [e])
-
-    rec(0, [])
-    chars.sort(key=lambda c: c.exponents)
-    return chars
+    """All characters mod n of order dividing ell - 1, in exponent-vector order."""
+    return _characters(n, ell - 1)

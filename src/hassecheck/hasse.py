@@ -77,6 +77,14 @@ def is_hasse(group: ProjGroup) -> HasseResult:
 # dim-2 classification
 
 
+def sutherland_dihedral(n: int, ell: int) -> bool:
+    """Sutherland's condition on a dihedral image D_2n mod l: n > 1 odd, n | (l - 1)/2.
+
+    (l - 1)/2 is an integer only for odd l, so l = 2 never qualifies.
+    """
+    return ell % 2 == 1 and n > 1 and n % 2 == 1 and ((ell - 1) // 2) % n == 0
+
+
 @dataclass(frozen=True)
 class SutherlandConditions:
     cond1_dihedral_odd_n: bool
@@ -224,16 +232,8 @@ def classify_pgl2(group: ProjGroup) -> Pgl2Classification:
         fixed_points(g, 2, p) for g, o in orders.items() if o == dihedral_n
     )
 
-    # (l - 1)/2 is an integer only for odd l
-    cond1 = (
-        p % 2 == 1
-        and dihedral_n is not None
-        and dihedral_n > 1
-        and dihedral_n % 2 == 1
-        and ((p - 1) // 2) % dihedral_n == 0
-    )
     sut = SutherlandConditions(
-        cond1_dihedral_odd_n=cond1,
+        cond1_dihedral_odd_n=dihedral_n is not None and sutherland_dihedral(dihedral_n, p),
         cond2_ell_3mod4=(p % 4 == 3),
         cond3_split_cartan_normalizer=(pair == "split"),
         cond4_index2_fixes=rotation_fixes,

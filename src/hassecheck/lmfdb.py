@@ -8,7 +8,6 @@ transport that raises.
 Environment:
   HASSE_LMFDB_BASE_URL  override the API base URL
   HASSE_CACHE_DIR       cache directory (default ~/.cache/hassecheck)
-  HASSE_OFFLINE=1       force cache_only mode
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def fixture_dir() -> Path:
 @dataclass
 class DataSource:
     mode: str = "fixtures"  # http | cache_only | fixtures
-    base_url: str = DEFAULT_BASE_URL
+    base_url: str | None = None
     cache_dir: Path | None = None
     fixtures: Path | None = None
     delay: float = 0.5
@@ -75,6 +74,8 @@ class DataSource:
     def __post_init__(self):
         if self.mode not in ("http", "cache_only", "fixtures"):
             raise ValueError(f"unknown mode {self.mode}")
+        if self.base_url is None:
+            self.base_url = os.environ.get("HASSE_LMFDB_BASE_URL", DEFAULT_BASE_URL)
         if self.cache_dir is None:
             self.cache_dir = Path(
                 os.environ.get("HASSE_CACHE_DIR", Path.home() / ".cache" / "hassecheck")
@@ -90,15 +91,6 @@ class DataSource:
         transport = self.transport or _default_transport
         time.sleep(self.delay)
         return transport(url, params)
-
-
-def from_env(mode: str | None = None) -> DataSource:
-    if mode is None:
-        mode = "cache_only" if os.environ.get("HASSE_OFFLINE") == "1" else "http"
-    return DataSource(
-        mode=mode,
-        base_url=os.environ.get("HASSE_LMFDB_BASE_URL", DEFAULT_BASE_URL),
-    )
 
 
 def _cache_path(source: DataSource, label: str) -> Path:

@@ -84,10 +84,6 @@ class QuadElement:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadElement":
-        # g + g' = -m1
-        return QuadElement(self.c0 - self.m1 * self.c1, -self.c1, self.m0, self.m1)
-
     def __repr__(self):
         return f"({self.c0} + {self.c1}*g)"
 
@@ -233,18 +229,29 @@ class NewformRecord:
             raise DataCoverageError(self.label, p, self.ap_max_prime)
         return self.ap[p]
 
-    def char_embedding(self) -> RingEmbedding:
-        m = max(self.char.zeta_order, 1)
-        if m <= 2:
-            zeta = self.quad(-1 if m == 2 else 1, 0)
-        elif self.zeta_in_field is None:
+    @property
+    def zeta(self) -> QuadElement:
+        """The coefficient-ring image of the character's root of unity zeta_m.
+
+        The stored zeta_in_field when present; else +-1, which is the only
+        choice for m <= 2.
+        """
+        if self.zeta_in_field is not None:
+            return self.quad(*self.zeta_in_field)
+        m = self.char.zeta_order
+        if m > 2:
             raise ValueError(f"{self.label}: character needs zeta_in_field")
-        else:
-            zeta = self.quad(*self.zeta_in_field)
-        powers = [self.quad(1, 0)]
-        for _ in range(m - 1):
+        return self.quad(-1 if m == 2 else 1, 0)
+
+    def _zeta_powers(self, count: int) -> list[QuadElement]:
+        """zeta^0, ..., zeta^(count - 1) in the coefficient ring."""
+        zeta, powers = self.zeta, [self.quad(1, 0)]
+        for _ in range(count - 1):
             powers.append(powers[-1] * zeta)
-        return RingEmbedding(powers, self.quad(0, 0))
+        return powers
+
+    def char_embedding(self) -> RingEmbedding:
+        return RingEmbedding(self._zeta_powers(max(self.char.zeta_order, 1)), self.quad(0, 0))
 
     def nebentypus_value(self, n: int, embed: RingEmbedding | None = None):
         """eps(n) in the coefficient ring, or through `embed` when one is given."""
@@ -315,9 +322,7 @@ class NewformRecord:
                 raise ValueError(f"{label}: no a_p for p = {p} <= ap_max_prime {self.ap_max_prime}")
         if self.zeta_in_field is not None:
             m = self.char.zeta_order
-            zeta, powers = self.quad(*self.zeta_in_field), [self.quad(1, 0)]
-            for _ in range(m):
-                powers.append(powers[-1] * zeta)
+            powers = self._zeta_powers(m + 1)
             if powers[m] != powers[0] or any(powers[m // r] == powers[0] for r in factorize(m)):
                 raise ValueError(f"{label}: zeta_in_field is not a primitive {m}-th root of unity")
 
@@ -341,10 +346,8 @@ def reduce_char_embedding(record: NewformRecord, rmap: ReductionMap) -> RingEmbe
     Reduction is a ring map, so reducing zeta once gives eps(n) mod the
     ideal for every n without building a coefficient-ring value.
     """
-    ring = record.char_embedding()
-    ell = rmap.ell
-    zeta = rmap.apply(ring.root_power(1))
-    return RingEmbedding([pow(zeta, k, ell) for k in range(ring.m)], 0)
+    zeta, ell = rmap.apply(record.zeta), rmap.ell
+    return RingEmbedding([pow(zeta, k, ell) for k in range(max(record.char.zeta_order, 1))], 0)
 
 
 def frob_charpoly(record: NewformRecord, p: int, rmap: ReductionMap, embed: RingEmbedding) -> FrobData:

@@ -18,6 +18,7 @@ from math import lcm
 from . import dchar
 from .dchar import DirichletCharacter, kernel_field_disc, twist_modulus
 from .ffield import FieldElement, is_prime, mul_order, primitive_root
+from .hasse import sutherland_dihedral
 from .lmfdb import DataSource, fetch_form, list_fixture_labels, query_candidates
 from .nfdata import (
     DataCoverageError,
@@ -316,41 +317,40 @@ def hasse_verdict(record: NewformRecord, ell: int, bound: int | None = None):
         reasons["data_coverage"] = str(exc)
         return HasseVerdict(record.label, ell, "undetermined", reasons), []
 
-    dihedral_side = None
-    for i, rep in enumerate(reports):
+    # the evidence: the first dihedral ideal meeting Sutherland's condition
+    # whose other ideal is certified not Borel, else the first dihedral ideal
+    evidence = not_borel = None
+    for rep, other in zip(reports, reports[::-1]):
         if rep.status != "dihedral":
             continue
-        n = rep.n
-        ok = n > 1 and n % 2 == 1 and ((ell - 1) // 2) % n == 0
-        other = reports[1 - i]
-        if ok and other.not_borel_certified:
-            dihedral_side = i
-            reasons.update(
-                {
-                    "dihedral_ideal": rep.ideal,
-                    "n": n,
-                    "n_odd": True,
-                    "n_gt_1": True,
-                    "n_divides_half_ell_minus_1": True,
-                    "other_ideal_not_borel": True,
-                    "not_borel_witness": other.not_borel_witness,
-                    "not_borel_mechanism": "witness_prime"
-                    if other.not_borel_witness is not None
-                    else "irreducibility_sweep",
-                }
-            )
+        if sutherland_dihedral(rep.n, ell) and other.not_borel_certified:
+            evidence, not_borel = rep, other
             break
-    if dihedral_side is not None and reasons["ell_ge_7"] and reasons["ell_3_mod_4"]:
-        return HasseVerdict(record.label, ell, "hasse", reasons), reports
-
-    # record the best dihedral evidence even when the verdict is negative
-    for rep in reports:
-        if rep.status == "dihedral" and reasons["n"] is None:
-            reasons["dihedral_ideal"] = rep.ideal
-            reasons["n"] = rep.n
-            reasons["n_odd"] = rep.n % 2 == 1
-            reasons["n_gt_1"] = rep.n > 1
-            reasons["n_divides_half_ell_minus_1"] = ((ell - 1) // 2) % rep.n == 0
+        if evidence is None:
+            evidence = rep
+    if evidence is not None:
+        n = evidence.n
+        reasons.update(
+            {
+                "dihedral_ideal": evidence.ideal,
+                "n": n,
+                "n_odd": n % 2 == 1,
+                "n_gt_1": n > 1,
+                "n_divides_half_ell_minus_1": ((ell - 1) // 2) % n == 0,
+            }
+        )
+    if not_borel is not None:
+        reasons.update(
+            {
+                "other_ideal_not_borel": True,
+                "not_borel_witness": not_borel.not_borel_witness,
+                "not_borel_mechanism": "witness_prime"
+                if not_borel.not_borel_witness is not None
+                else "irreducibility_sweep",
+            }
+        )
+        if reasons["ell_ge_7"] and reasons["ell_3_mod_4"]:
+            return HasseVerdict(record.label, ell, "hasse", reasons), reports
 
     if any(rep.status == "insufficient_data" for rep in reports):
         return HasseVerdict(record.label, ell, "undetermined", reasons), reports
@@ -410,6 +410,9 @@ def _scan_one(record: NewformRecord, ell: int, bound: int | None) -> dict:
         verdict, reports = hasse_verdict(record, ell, bound)
     except Exception as exc:  # noqa: BLE001 - per-row capture is the contract
         return {"label": record.label, "error": f"{type(exc).__name__}: {exc}"}
+    for why in ("inert", "ramified"):
+        if why in verdict.reasons:
+            return {"label": record.label, "level": record.level, "skipped": why}
     return {
         "label": record.label,
         "level": record.level,
@@ -446,15 +449,6 @@ def scan(
             rows.append({"label": label, "error": f"{type(exc).__name__}: {exc}"})
             continue
         if level_max is not None and record.level > level_max:
-            continue
-        sp = None
-        try:
-            sp = split_primes((record.m0, record.m1, 1), ell)
-        except RamifiedPrimeError:
-            rows.append({"label": label, "level": record.level, "skipped": "ramified"})
-            continue
-        if sp is None:
-            rows.append({"label": label, "level": record.level, "skipped": "inert"})
             continue
         rows.append(_scan_one(record, ell, bound))
     rows.sort(key=lambda r: _label_sort_key(r["label"]))

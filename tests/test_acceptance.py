@@ -467,10 +467,7 @@ def test_criterion_10_offline_stand_in():
     reason="live smoke test only with HASSE_LIVE_TEST=1",
 )
 def test_criterion_10_live_smoke(tmp_path):
-    from hassecheck.lmfdb import from_env
-
-    live = from_env("http")
-    live.cache_dir = tmp_path
+    live = DataSource(mode="http", cache_dir=tmp_path)
     fetched = fetch_form(live, "189.2.p.a", bound=200)
     fixture = fetch_form(SRC, "189.2.p.a")
     for p in (2, 5, 11, 13, 199):

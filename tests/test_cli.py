@@ -1,6 +1,7 @@
 """CLI surface: exit codes, canonical output, command behaviour."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hassecheck.cli import EX_OK, EX_OPERATIONAL, EX_USAGE, main
+from hassecheck.lmfdb import fixture_dir
 from hassecheck.matgrp import Matrix, closure, matrix, projectivize, standard_constructors
 from hassecheck.nfdata import default_bound
 
@@ -61,6 +63,15 @@ def test_bound_below_2_is_a_usage_error(capsys, argv, bound):
         main(argv + ["--bound", bound])
     assert exc.value.code == EX_USAGE
     assert "--bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["0", "335"])
+def test_enumerate_hasse_bound_below_the_ambient_order_is_a_usage_error(capsys, bound):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate-hasse", "--ell", "7", "--bound", bound])
+    assert exc.value.code == EX_USAGE
+    err = capsys.readouterr().err
+    assert f"--bound {bound}" in err and "336" in err
 
 
 def test_enumerate_hasse_ell_2(capsys):
@@ -211,6 +222,16 @@ def test_analyze_fixture(capsys):
     doc = json.loads(out)
     assert doc["verdict"]["verdict"] == "hasse"
     assert doc["config"]["source"] == "fixtures"
+
+
+def test_analyze_reads_a_cache_dir(tmp_path, capsys):
+    (tmp_path / "forms").mkdir()
+    shutil.copy(fixture_dir() / "189.2.p.a.json", tmp_path / "forms")
+    argv = ["analyze", "--label", "189.2.p.a", "--ell", "7"]
+    rc, out, err = run(capsys, argv + ["--source", "cache_only", "--cache-dir", str(tmp_path)])
+    assert (rc, err) == (EX_OK, "")
+    _, fixture_out, _ = run(capsys, argv)
+    assert json.loads(out)["verdict"] == json.loads(fixture_out)["verdict"]
 
 
 def test_analyze_unknown_label_is_operational_error(capsys):

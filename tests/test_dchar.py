@@ -1,6 +1,7 @@
 """Dirichlet characters: evaluation, conductors, twist machinery."""
 
 import json
+from itertools import product
 from math import prod
 
 import pytest
@@ -36,6 +37,22 @@ def test_quadratic_characters_mod_21():
     chars = quadratic_characters(21)
     assert len(chars) == 4
     assert [c.conductor() for c in chars] == [1, 3, 7, 21]
+
+
+def test_quadratic_characters_match_a_brute_force_enumeration():
+    for q in range(1, 201):
+        basis = UnitGroupBasis.for_modulus(q)
+        brute = []
+        for exps in product(range(2), repeat=len(basis.generators)):
+            # a +-1 function of the discrete logs is a character exactly when
+            # chi(a * g) = chi(a) * chi(g) for every unit a and generator g
+            def sign(a):
+                return (-1) ** sum(e * x for e, x in zip(exps, basis.dlog_table[a % q]))
+
+            if all(sign(a * g) == sign(a) * sign(g) for a in basis.dlog_table for g in basis.generators):
+                brute.append(DirichletCharacter(basis, 2, exps))
+        brute.sort(key=lambda c: (c.conductor(), c.exponents))
+        assert quadratic_characters(q) == brute, q
 
 
 def test_quadratic_characters_trivial_modulus():

@@ -14,6 +14,7 @@ from hassecheck.hasse import (
     global_fixed_points,
     is_hasse,
     lemma31_check,
+    sutherland_dihedral,
 )
 from hassecheck.ffield import least_nonresidue
 from hassecheck.matgrp import (
@@ -370,3 +371,12 @@ def test_global_fixed_points_of_borel():
     borel = projectivize(standard_constructors("borel", 7))
     pts = global_fixed_points(borel)
     assert len(pts) == 1
+
+
+@pytest.mark.parametrize(
+    "ell, expected",
+    [(2, set()), (3, set()), (7, {3}), (11, {5}), (19, {3, 9}), (23, {11}), (43, {3, 7, 21})],
+)
+def test_sutherland_dihedral_is_odd_n_above_1_dividing_half_ell_minus_1(ell, expected):
+    # (l - 1)/2 is 1, 3, 5, 9, 11 and 21 at the odd primes; l = 2 has none
+    assert {n for n in range(1, ell + 2) if sutherland_dihedral(n, ell)} == expected

@@ -33,6 +33,11 @@ def qz(c0, c1):
     return QuadElement.make(c0, c1, 1, -1)
 
 
+def conjugate(x: QuadElement) -> QuadElement:
+    """The Galois conjugate of x: g + g' = -m1."""
+    return QuadElement(x.c0 - x.m1 * x.c1, -x.c1, x.m0, x.m1)
+
+
 def test_split_primes_examples():
     maps = split_primes(SQRT2, 7)
     assert (maps[0].root, maps[1].root) == (3, 4)
@@ -79,8 +84,8 @@ def test_conjugation_swaps_the_two_maps():
     r3, r4 = split_primes(SQRT2, 7)
     for _ in range(200):
         x = q2(rng.randrange(-50, 50), rng.randrange(-50, 50))
-        assert r3.apply(x.conjugate()) == r4.apply(x)
-        assert r4.apply(x.conjugate()) == r3.apply(x)
+        assert r3.apply(conjugate(x)) == r4.apply(x)
+        assert r4.apply(conjugate(x)) == r3.apply(x)
 
 
 def test_sturm_bound_examples():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hassecheck import pipeline
 from hassecheck.dchar import DirichletCharacter, UnitGroupBasis
 from hassecheck.lmfdb import DataSource, fetch_form, fixture_dir
 from hassecheck.nfdata import DataCoverageError, NewformRecord, QuadElement, split_primes
@@ -31,6 +32,11 @@ ZETA6 = (1, -1, 1)
 
 def rmaps(rec, ell=7):
     return split_primes((rec.m0, rec.m1, 1), ell)
+
+
+def conjugate(x: QuadElement) -> QuadElement:
+    """The Galois conjugate of x: g + g' = -m1."""
+    return QuadElement(x.c0 - x.m1 * x.c1, -x.c1, x.m0, x.m1)
 
 
 def test_detect_twist_189p():
@@ -143,7 +149,7 @@ def test_dihedral_order_examples_189():
 
 
 def test_analyze_ideal_reduces_the_character_embedding_once(monkeypatch):
-    """One ring embedding per ideal, not one per prime: eps(p) is read in F_l."""
+    """zeta is reduced once per ideal and eps(p) read in F_l: no coefficient-ring powers."""
     rec = fetch_form(SRC, "189.2.p.a")
     embeddings, products = [], []
     char_embedding, mul = NewformRecord.char_embedding, QuadElement.__mul__
@@ -163,9 +169,8 @@ def test_analyze_ideal_reduces_the_character_embedding_once(monkeypatch):
         products.clear()
         report = analyze_ideal(rec, rmap, 1000)
         assert report.status == "dihedral"
-        assert embeddings == ["189.2.p.a"]
-        # only the embedding's powers of zeta, never a ring value per prime
-        assert len(products) < rec.char.zeta_order
+        assert embeddings == []
+        assert products == []
 
 
 def test_not_borel_witness():
@@ -211,9 +216,9 @@ def test_verdict_undetermined_paths():
 
 def test_root_relabeling_commutes_with_conjugation():
     rec = fetch_form(SRC, "189.2.p.a")
-    conj_ap = {p: v.conjugate() for p, v in rec.ap.items()}
+    conj_ap = {p: conjugate(v) for p, v in rec.ap.items()}
     zeta = QuadElement.make(rec.zeta_in_field[0], rec.zeta_in_field[1], rec.m0, rec.m1)
-    zc = zeta.conjugate()
+    zc = conjugate(zeta)
     rec_conj = NewformRecord(
         label=rec.label, level=rec.level, weight=rec.weight, char=rec.char,
         field_poly=rec.field_poly, ap=conj_ap, cm=rec.cm, cm_disc=rec.cm_disc,
@@ -309,6 +314,22 @@ def test_two_scans_give_equal_rows():
     cold = scan(SRC, 7, bound=1000)
     warm = scan(SRC, 7, bound=1000)
     assert cold == warm
+
+
+def test_scan_decides_whether_ell_splits_once_per_form(monkeypatch):
+    calls = []
+
+    def counted(field_poly, ell):
+        calls.append(field_poly)
+        return split_primes(field_poly, ell)
+
+    monkeypatch.setattr(pipeline, "split_primes", counted)
+    rows = scan(SRC, 7, bound=500)
+    assert len(calls) == len(rows) == 18
+    assert {r["label"]: r["skipped"] for r in rows if "skipped" in r} == {
+        "20.2.e.a": "inert",
+        "56.2.e.a": "ramified",
+    }
 
 
 def test_scan_turns_analysis_failures_into_error_rows(tmp_path):
