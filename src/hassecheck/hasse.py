@@ -62,9 +62,20 @@ def is_hasse(group: ProjGroup) -> HasseResult:
 
     The violating element (fixing no point) and the global fixed point are
     reported as the lexicographically least candidates so output is stable.
+    Every element's characteristic polynomial is computed; an element fixes
+    a point exactly when that polynomial has a root in F_p, so the roots are
+    searched once per distinct polynomial.
     """
     dim, p = group.dim, group.modulus
-    violator = min((elt for elt in group.elements if not has_eigenvalue(elt, dim, p)), default=None)
+    rootful = {}  # charpoly -> has a root in F_p
+    violator = None
+    for elt in group.elements:
+        coeffs = charpoly(elt, dim, p)
+        fixes = rootful.get(coeffs)
+        if fixes is None:
+            fixes = rootful[coeffs] = has_eigenvalue(elt, dim, p)
+        if not fixes and (violator is None or elt < violator):
+            violator = elt
     if violator is not None:
         return HasseResult(False, violating_element=violator)
     common = global_fixed_points(group)

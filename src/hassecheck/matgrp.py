@@ -36,6 +36,11 @@ class SingularMatrixError(ValueError):
 
 
 def mat_mul(a: tuple, b: tuple, dim: int, p: int) -> tuple:
+    if dim == 2:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return ((a0 * b0 + a1 * b2) % p, (a0 * b1 + a1 * b3) % p,
+                (a2 * b0 + a3 * b2) % p, (a2 * b1 + a3 * b3) % p)
     return tuple(
         sum(a[i * dim + k] * b[k * dim + j] for k in range(dim)) % p
         for i in range(dim)
@@ -132,21 +137,24 @@ def all_proj_points(dim: int, p: int) -> list[tuple]:
 
 
 def subspace_points(basis: list[tuple], dim: int, p: int) -> set[tuple]:
-    """Projectivised points of the span of `basis`."""
+    """Projectivised points of the span of `basis`.
+
+    Proportional coefficient vectors give the same point, so only those whose
+    first nonzero entry is 1 are combined: (p^k - 1)/(p - 1) of them for k
+    basis vectors, one per point when the basis is independent.
+    """
     pts = set()
     k = len(basis)
-    if k == 0:
-        return pts
 
-    def combos(i, acc):
+    def combos(i, acc, started):
         if i == k:
             if any(acc):
                 pts.add(proj_canonical(tuple(acc), p))
             return
-        for c in range(p):
-            combos(i + 1, [(x + c * y) % p for x, y in zip(acc, basis[i])])
+        for c in range(p) if started else (0, 1):
+            combos(i + 1, [(x + c * y) % p for x, y in zip(acc, basis[i])], started or c == 1)
 
-    combos(0, [0] * dim)
+    combos(0, [0] * dim, False)
     return pts
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from hassecheck.cli import canonical_json
 from hassecheck.hasse import (
+    HasseResult,
     classify_pgl2,
     element_order,
     enumerate_subgroups,
@@ -17,10 +18,16 @@ from hassecheck.hasse import (
     sutherland_dihedral,
 )
 from hassecheck.ffield import least_nonresidue
+from hassecheck import hasse
 from hassecheck.matgrp import (
+    Matrix,
     ProjGroup,
     all_proj_points,
+    block_diagonal,
+    charpoly,
     closure,
+    fixed_points_scan,
+    has_eigenvalue,
     mat_identity,
     matrix,
     proj_canonical,
@@ -380,3 +387,101 @@ def test_global_fixed_points_of_borel():
 def test_sutherland_dihedral_is_odd_n_above_1_dividing_half_ell_minus_1(ell, expected):
     # (l - 1)/2 is 1, 3, 5, 9, 11 and 21 at the odd primes; l = 2 has none
     assert {n for n in range(1, ell + 2) if sutherland_dihedral(n, ell)} == expected
+
+
+# ---------------------------------------------------------------------------
+# the brute-force Hasse test on block groups
+
+
+def non_hasse_block_pairs():
+    """Factor pairs whose block group is not Hasse.
+
+    The first five block groups have an element fixing no point, the last
+    three a point fixed by the whole group.
+    """
+    triv = closure([matrix([[1, 0], [0, 1]], 7)])
+    borel = standard_constructors("borel", 7)
+    return [
+        (standard_constructors("nonsplit_cartan", 7), standard_constructors("nonsplit_cartan", 7)),
+        (closure([matrix([[0, -4], [1, 1]], 11)]), standard_constructors("sl2", 11)),
+        (standard_constructors("nonsplit_cartan", 5), standard_constructors("nonsplit_cartan_normalizer", 5)),
+        (standard_constructors("nonsplit_cartan", 3), standard_constructors("gl2", 3)),
+        (standard_constructors("gl2", 2), standard_constructors("gl2", 2)),
+        (triv, triv),
+        (borel, borel),
+        (d6_group(), borel),
+    ]
+
+
+def lemma31_rows(catalogue) -> list[str]:
+    """One canonical JSON line per block-sum pair: the factors, `predicted` and the brute-force result.
+
+    `tests/golden/lemma31_pairs.jsonl` holds these lines for the criterion-4
+    catalogue followed by `non_hasse_block_pairs()`, as `lemma31_check`
+    printed them when `is_hasse` searched for roots element by element.
+    """
+    rows = []
+    for g1, g2 in [*catalogue, *non_hasse_block_pairs()]:
+        out = lemma31_check(g1, g2)
+        row = {
+            "modulus": g1.modulus,
+            "g": [list(g.entries) for g in g1.generators],
+            "g2": [list(g.entries) for g in g2.generators],
+            "predicted": out["predicted"],
+            "brute_force": out["brute_force"].to_dict(),
+        }
+        rows.append(canonical_json(row).rstrip("\n"))
+    return rows
+
+
+def test_lemma31_check_matches_golden(catalogue):
+    assert lemma31_rows(catalogue) == (GOLDEN / "lemma31_pairs.jsonl").read_text().splitlines()
+
+
+def is_hasse_oracle(group: ProjGroup) -> HasseResult:
+    """A root search on every element, then a point scan for the global fixed points."""
+    dim, p = group.dim, group.modulus
+    violator = min((elt for elt in group.elements if not has_eigenvalue(elt, dim, p)), default=None)
+    if violator is not None:
+        return HasseResult(False, violating_element=violator)
+    common = set(all_proj_points(dim, p))
+    for g in group.generators:
+        common &= fixed_points_scan(Matrix(g, dim, p))
+    if common:
+        return HasseResult(False, global_fixed_point=min(common))
+    return HasseResult(True)
+
+
+def test_is_hasse_matches_the_element_by_element_oracle():
+    for name, group in pinned_groups():
+        assert is_hasse(group) == is_hasse_oracle(group), name
+    for i, (g1, g2) in enumerate(non_hasse_block_pairs()):
+        block = block_diagonal(g1, g2)
+        res = is_hasse(block)
+        assert res == is_hasse_oracle(block), i
+        assert (res.violating_element is not None) == (i < 5), i
+        assert (res.global_fixed_point is not None) == (i >= 5), i
+
+
+def test_is_hasse_searches_roots_once_per_distinct_charpoly(monkeypatch, catalogue):
+    computed, searched = [], []
+
+    def counted_charpoly(m, dim, p):
+        computed.append(m)
+        return charpoly(m, dim, p)
+
+    def counted_has_eigenvalue(m, dim, p):
+        searched.append(charpoly(m, dim, p))
+        return has_eigenvalue(m, dim, p)
+
+    monkeypatch.setattr(hasse, "charpoly", counted_charpoly)
+    monkeypatch.setattr(hasse, "has_eigenvalue", counted_has_eigenvalue)
+    for g1, g2 in [catalogue[0], catalogue[-1], *non_hasse_block_pairs()]:
+        block = block_diagonal(g1, g2)
+        computed.clear()
+        searched.clear()
+        is_hasse(block)
+        assert sorted(computed) == sorted(block.elements)
+        assert len(searched) == len(set(searched))
+        if block.order() > 1000:
+            assert len(searched) < block.order() / 10

@@ -17,11 +17,14 @@ from hassecheck.matgrp import (
     fixed_points_scan,
     has_eigenvalue,
     mat_det,
+    mat_mul,
     matrix,
     proj_canonical,
     projectivize,
     standard_constructors,
+    subspace_points,
 )
+from hassecheck import matgrp
 
 
 def shifted(m: tuple, dim: int, lam: int, p: int) -> tuple:
@@ -231,3 +234,80 @@ def test_proj_canonical_first_nonzero_entry_is_one():
     assert proj_canonical(canonical, p) is canonical
     with pytest.raises(SingularMatrixError):
         proj_canonical((0, 7, 0, 0), p)
+
+
+def mat_mul_oracle(a: tuple, b: tuple, dim: int, p: int) -> tuple:
+    """Triple-loop product: entry (i, j) is the sum over k of a[i][k] * b[k][j], mod p."""
+    out = []
+    for i in range(dim):
+        for j in range(dim):
+            total = 0
+            for k in range(dim):
+                total += a[i * dim + k] * b[k * dim + j]
+            out.append(total % p)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_mat_mul_matches_the_triple_loop(p):
+    rng = random.Random(p)
+    for dim, count in ((2, 2000), (4, 200)):
+        for _ in range(count):
+            # entries outside [0, p) too: negative and several multiples of p
+            a = tuple(rng.randrange(-3 * p, 3 * p) for _ in range(dim * dim))
+            b = tuple(rng.randrange(-3 * p, 3 * p) for _ in range(dim * dim))
+            assert mat_mul(a, b, dim, p) == mat_mul_oracle(a, b, dim, p), (a, b)
+
+
+def span_vectors(basis: list[tuple], dim: int, p: int) -> set[tuple]:
+    """Every vector of the span of `basis`, zero included."""
+    vecs = {(0,) * dim}
+    for v in basis:
+        vecs = {tuple((x + c * y) % p for x, y in zip(w, v)) for w in vecs for c in range(p)}
+    return vecs
+
+
+def subspace_points_oracle(basis: list[tuple], dim: int, p: int) -> set[tuple]:
+    """The projectivised span from all p^k coefficient vectors."""
+    pts = set()
+    k = len(basis)
+    if k == 0:
+        return pts
+
+    def combos(i, acc):
+        if i == k:
+            if any(acc):
+                pts.add(proj_canonical(tuple(acc), p))
+            return
+        for c in range(p):
+            combos(i + 1, [(x + c * y) % p for x, y in zip(acc, basis[i])])
+
+    combos(0, [0] * dim)
+    return pts
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_subspace_points_matches_all_coefficient_vectors(p, monkeypatch):
+    canonicalised = []
+
+    def counted(m, q):
+        canonicalised.append(m)
+        return proj_canonical(m, q)
+
+    monkeypatch.setattr(matgrp, "proj_canonical", counted)
+    rng = random.Random(50 + p)
+    independent = 0
+    for k in range(5):
+        for trial in range(12):
+            if trial < 3:  # unit vectors of a coordinate subspace, scaled
+                basis = [tuple(rng.randrange(1, p) if j == i else 0 for j in range(4)) for i in range(k)]
+            else:
+                basis = [tuple(rng.randrange(p) for _ in range(4)) for _ in range(k)]
+            canonicalised.clear()
+            got = subspace_points(basis, 4, p)
+            assert got == subspace_points_oracle(basis, 4, p), basis
+            if len(span_vectors(basis, 4, p)) == p**k:  # the basis is independent
+                independent += 1
+                # one coefficient vector per point: those whose first nonzero entry is 1
+                assert len(got) == len(canonicalised) == (p**k - 1) // (p - 1), basis
+    assert independent >= 30
