@@ -167,7 +167,7 @@ def _cmd_lemma31(args) -> int:
         "config": _config(args, g=args.g, g2=args.g2),
         "predicted": res["predicted"],
         "brute_force": res["brute_force"].to_dict(),
-        "contract_holds": (not res["predicted"]) or res["brute_force"].is_hasse,
+        "contract_holds": res["contract_holds"],
     }
     print(canonical_json(doc), end="")
     return EX_OK

@@ -45,16 +45,8 @@ class HasseResult:
 
 
 def global_fixed_points(group: ProjGroup) -> set[tuple]:
-    """Points fixed by every generator (equivalently, by the whole group)."""
-    common: set[tuple] | None = None
-    for g in group.generators:
-        pts = fixed_points(g, group.dim, group.modulus)
-        common = pts if common is None else common & pts
-        if not common:
-            return set()
-    if common is None:  # no generators: trivial group fixes everything
-        return set(all_proj_points(group.dim, group.modulus))
-    return common
+    """Points fixed by every generator (equivalently, by the whole group); all points for no generators."""
+    return fixed_points(group.generators, group.dim, group.modulus)
 
 
 def is_hasse(group: ProjGroup) -> HasseResult:
@@ -73,7 +65,7 @@ def is_hasse(group: ProjGroup) -> HasseResult:
         coeffs = charpoly(elt, dim, p)
         fixes = rootful.get(coeffs)
         if fixes is None:
-            fixes = rootful[coeffs] = has_eigenvalue(elt, dim, p)
+            fixes = rootful[coeffs] = has_eigenvalue(coeffs, p)
         if not fixes and (violator is None or elt < violator):
             violator = elt
     if violator is not None:
@@ -240,7 +232,7 @@ def classify_pgl2(group: ProjGroup) -> Pgl2Classification:
     # n generates the one rotation subgroup, and for the Klein group (n = 2)
     # each of the three C2s is a candidate.
     rotation_fixes = dihedral_n is not None and any(
-        fixed_points(g, 2, p) for g, o in orders.items() if o == dihedral_n
+        fixed_points([g], 2, p) for g, o in orders.items() if o == dihedral_n
     )
 
     sut = SutherlandConditions(
@@ -270,7 +262,8 @@ def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
 
     predicted: one factor is Hasse and the other has no global fixed point.
     brute_force: the full Hasse test on the projective image of G1 + G2.
-    The contract is one-directional: predicted implies brute_force Hasse.
+    contract_holds: predicted implies brute_force Hasse.  The contract is
+    one-directional: a block group can be Hasse without the prediction.
     The block group is built first, so its checks on the factors (dim 2,
     one modulus, the size cap) run before any Hasse test.
     """
@@ -283,7 +276,7 @@ def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
     borel2 = r2.global_fixed_point is not None
     predicted = (r1.is_hasse and not borel2) or (r2.is_hasse and not borel1)
     brute = is_hasse(block)
-    return {"predicted": predicted, "brute_force": brute}
+    return {"predicted": predicted, "brute_force": brute, "contract_holds": not predicted or brute.is_hasse}
 
 
 # ---------------------------------------------------------------------------

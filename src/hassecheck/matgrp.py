@@ -8,13 +8,15 @@ plain breadth-first products, capped hard: the groups of interest here are
 tiny and hitting the cap signals misuse, not a need for a bigger budget.
 A projective group holds one canonical representative per scalar class.
 The block sum G1 + G2 of two dim-2 groups is built straight into PGL_4 by
-`block_diagonal`, from the factors' elements, without a dim-4 matrix group.
+`block_diagonal`, from the factors' elements, without a dim-4 matrix group
+and with each scalar class built once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .ffield import is_prime, least_nonresidue, primitive_root
 
@@ -84,19 +86,20 @@ def proj_canonical(m: tuple, p: int) -> tuple:
 
 
 def kernel_basis(m: tuple, dim: int, p: int) -> list[tuple]:
-    """Basis of the null space of m over F_p."""
-    a = [list(m[i * dim : (i + 1) * dim]) for i in range(dim)]
+    """Basis of the null space over F_p of the len(m) // dim rows of m, any number of them."""
+    nrows = len(m) // dim
+    a = [list(m[i * dim : (i + 1) * dim]) for i in range(nrows)]
     pivots = []
     row = 0
     for col in range(dim):
-        piv = next((r for r in range(row, dim) if a[r][col] % p != 0), None)
+        piv = next((r for r in range(row, nrows) if a[r][col] % p != 0), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
         inv = pow(a[row][col], -1, p)
         a[row] = [x * inv % p for x in a[row]]
-        for r in range(dim):
-            if r != row and a[r][col]:
+        for r in range(nrows):
+            if r != row and a[r][col] % p:
                 f = a[r][col]
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[row])]
         pivots.append(col)
@@ -349,31 +352,45 @@ def _roots(coeffs: tuple, p: int):
             yield lam
 
 
-def has_eigenvalue(m: tuple, dim: int, p: int) -> bool:
-    """True iff the characteristic polynomial of m has a root in F_p."""
-    return next(_roots(charpoly(m, dim, p), p), None) is not None
+def has_eigenvalue(coeffs: tuple, p: int) -> bool:
+    """True iff the characteristic polynomial with coefficients `coeffs` (see charpoly) has a root in F_p."""
+    return next(_roots(coeffs, p), None) is not None
 
 
-def fixed_points(m: tuple, dim: int, p: int) -> set[tuple]:
-    """All projective points x with m.x proportional to x.
+def fixed_points(ms, dim: int, p: int) -> set[tuple]:
+    """The projective points x with m.x proportional to x for every m in ms; all points when ms is empty.
 
-    Each root of the characteristic polynomial is an eigenvalue; its
-    eigenspace is projectivised.
+    m fixes x exactly when x lies in the eigenspace ker(m - lam*I) of a root
+    lam of m's characteristic polynomial.  So the common fixed points are the
+    union, over one root per matrix, of the intersections of those
+    eigenspaces: each is the null space of the stacked rows of the m - lam*I.
+    A choice of roots whose null space is zero is dropped before the next
+    matrix is stacked, and points are listed only for the choices left at
+    the end.  Eigenspaces of distinct roots of one matrix meet only in 0, so
+    no point is listed twice.
     """
-    coeffs = charpoly(m, dim, p)
-    if coeffs[-1] == 0:
-        raise SingularMatrixError("fixed points only defined for invertible matrices")
+    shifts = []  # per matrix, m - lam*I for each root lam
+    for m in ms:
+        coeffs = charpoly(m, dim, p)
+        if coeffs[-1] == 0:
+            raise SingularMatrixError("fixed points only defined for invertible matrices")
+        shifts.append([  # the diagonal entries are every (dim + 1)-th
+            tuple((x - lam) % p if i % (dim + 1) == 0 else x for i, x in enumerate(m))
+            for lam in _roots(coeffs, p)
+        ])
+    if not shifts:
+        return set(all_proj_points(dim, p))
+    systems = [()]
+    for rows in shifts:
+        systems = [s + r for s in systems for r in rows if kernel_basis(s + r, dim, p)]
     pts: set[tuple] = set()
-    for lam in _roots(coeffs, p):
-        shifted = list(m)
-        for i in range(dim):
-            shifted[i * dim + i] = (shifted[i * dim + i] - lam) % p
-        pts |= subspace_points(kernel_basis(tuple(shifted), dim, p), dim, p)
+    for s in systems:
+        pts |= subspace_points(kernel_basis(s, dim, p), dim, p)
     return pts
 
 
 def fixed_points_scan(m: Matrix) -> set[tuple]:
-    """Oracle version of fixed_points: scan every projective point."""
+    """Oracle for fixed_points on one matrix: scan every projective point."""
     dim, p = m.dim, m.modulus
     pts = set()
     for pt in all_proj_points(dim, p):
@@ -400,6 +417,12 @@ def block_diagonal(g1: MatrixGroup, g2: MatrixGroup) -> ProjGroup:
     alpha^-1 a joined to the bottom half of alpha^-1 b, with the b halves
     scaled once per alpha, and only the generators g + I and I + g are
     canonicalised.
+
+    a + b and s*a + s*b are one class for s in S = {s : s*I in G1 and G2},
+    and S acts freely on G1 x G2 with the classes as orbits.  The scalings
+    s*a of one a have distinct alphas s*alpha, so taking the a whose alpha
+    is the least of its coset alpha*S builds each class once: |G1||G2|/|S|
+    joins.
     """
     if g1.modulus != g2.modulus:
         raise ValueError("groups must share the modulus")
@@ -418,19 +441,21 @@ def block_diagonal(g1: MatrixGroup, g2: MatrixGroup) -> ProjGroup:
     ident = mat_identity(2)
     gens = [proj_canonical(top(g.entries) + bottom(ident), p) for g in g1.generators]
     gens += [proj_canonical(top(ident) + bottom(g.entries), p) for g in g2.generators]
+    common = [s for s in range(1, p) if (s, 0, 0, s) in g1.elements and (s, 0, 0, s) in g2.elements]
+    leading = {min(s * alpha % p for s in common) for alpha in range(1, p)}  # the least of each coset
     bottoms = {}  # alpha -> bottom halves of alpha^-1 G2
 
     def classes():
         for a in g1.elements:
             alpha = a[0] or a[1]  # a is invertible, so its first row is not zero
+            if alpha not in leading:
+                continue
             inv = pow(alpha, -1, p)
             if alpha not in bottoms:
                 bottoms[alpha] = [bottom([x * inv % p for x in b]) for b in g2.elements]
-            head = top([x * inv % p for x in a])
-            for half in bottoms[alpha]:
-                yield head + half
+            yield map(top([x * inv % p for x in a]).__add__, bottoms[alpha])
 
-    return ProjGroup(tuple(dict.fromkeys(gens)), 4, p, frozenset(classes()))
+    return ProjGroup(tuple(dict.fromkeys(gens)), 4, p, frozenset(chain.from_iterable(classes())))
 
 
 def standard_constructors(kind: str, p: int) -> MatrixGroup:

@@ -396,10 +396,10 @@ def test_criterion_9_property_suites(catalogue):
             m = matrix([[rng.randrange(7) for _ in range(2)] for _ in range(2)], 7)
             if m.det() != 0:
                 break
-        base_pts = fixed_points(m.entries, 2, 7)
+        base_pts = fixed_points([m.entries], 2, 7)
         for lam in range(2, 7):
             scaled = matrix([[lam * e for e in row] for row in m.rows()], 7)
-            assert fixed_points(scaled.entries, 2, 7) == base_pts
+            assert fixed_points([scaled.entries], 2, 7) == base_pts
 
     # eigenvalue method vs point scan on every element of the l=7 catalogue
     seen = set()
@@ -409,14 +409,14 @@ def test_criterion_9_property_suites(catalogue):
                 continue
             seen.add(grp.elements)
             for elt in projectivize(grp).elements:
-                assert fixed_points(elt, 2, 7) == fixed_points_scan(Matrix(elt, 2, 7))
+                assert fixed_points([elt], 2, 7) == fixed_points_scan(Matrix(elt, 2, 7))
     # and on one dim-4 block group
     block = block_diagonal(
         closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7)]),
         closure([matrix([[0, -3], [1, 1]], 7)]),
     )
     for elt in block.elements:
-        assert fixed_points(elt, 4, 7) == fixed_points_scan(Matrix(elt, 4, 7))
+        assert fixed_points([elt], 4, 7) == fixed_points_scan(Matrix(elt, 4, 7))
     note(9, True)
 
 

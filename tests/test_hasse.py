@@ -26,6 +26,7 @@ from hassecheck.matgrp import (
     block_diagonal,
     charpoly,
     closure,
+    fixed_points,
     fixed_points_scan,
     has_eigenvalue,
     mat_identity,
@@ -59,9 +60,7 @@ def test_full_pgl2_not_hasse_with_violator():
     v = res.violating_element
     assert v is not None
     # the witness genuinely fixes nothing, and is the least element that does
-    from hassecheck.matgrp import Matrix, fixed_points, fixed_points_scan
-
-    assert fixed_points(v, 2, 7) == set()
+    assert fixed_points([v], 2, 7) == set()
     assert v == min(e for e in group.elements if not fixed_points_scan(Matrix(e, 2, 7)))
 
 
@@ -438,15 +437,53 @@ def test_lemma31_check_matches_golden(catalogue):
     assert lemma31_rows(catalogue) == (GOLDEN / "lemma31_pairs.jsonl").read_text().splitlines()
 
 
+def test_lemma31_check_decides_the_contract(catalogue):
+    for g1, g2 in [catalogue[0], *non_hasse_block_pairs()]:
+        out = lemma31_check(g1, g2)
+        assert out["contract_holds"] is ((not out["predicted"]) or out["brute_force"].is_hasse)
+        assert out["contract_holds"] is True
+
+
+def common_fixed_points_scan(ms, dim: int, p: int) -> set[tuple]:
+    """The points fixed_points_scan finds for every matrix in ms; every point for none."""
+    common = set(all_proj_points(dim, p))
+    for m in ms:
+        common &= fixed_points_scan(Matrix(m, dim, p))
+    return common
+
+
+def test_fixed_points_of_each_lattice_class_match_the_scan():
+    classes = 0
+    for name, group in pinned_groups():
+        if name.startswith("lattice-"):
+            classes += 1
+            want = common_fixed_points_scan(group.generators, 2, group.modulus)
+            assert fixed_points(group.generators, 2, group.modulus) == want, name
+    # PGL2(F_l) is S3, S4 and S5 at l = 2, 3, 5; the trivial classes have no generators
+    assert classes == 4 + 11 + 19 + 23
+
+
+def test_fixed_points_of_the_golden_factors_and_blocks_match_the_scan(catalogue):
+    nonempty = 0
+    for g1, g2 in [*catalogue, *non_hasse_block_pairs()]:
+        p = g1.modulus
+        for group in (g1, g2):
+            gens = [g.entries for g in group.generators]
+            assert fixed_points(gens, 2, p) == common_fixed_points_scan(gens, 2, p), gens
+        block = block_diagonal(g1, g2)
+        want = common_fixed_points_scan(block.generators, 4, p)
+        assert fixed_points(block.generators, 4, p) == want, block.generators
+        nonempty += bool(want)
+    assert nonempty == 3  # the last three non-Hasse pairs
+
+
 def is_hasse_oracle(group: ProjGroup) -> HasseResult:
     """A root search on every element, then a point scan for the global fixed points."""
     dim, p = group.dim, group.modulus
-    violator = min((elt for elt in group.elements if not has_eigenvalue(elt, dim, p)), default=None)
+    violator = min((elt for elt in group.elements if not has_eigenvalue(charpoly(elt, dim, p), p)), default=None)
     if violator is not None:
         return HasseResult(False, violating_element=violator)
-    common = set(all_proj_points(dim, p))
-    for g in group.generators:
-        common &= fixed_points_scan(Matrix(g, dim, p))
+    common = common_fixed_points_scan(group.generators, dim, p)
     if common:
         return HasseResult(False, global_fixed_point=min(common))
     return HasseResult(True)
@@ -470,9 +507,9 @@ def test_is_hasse_searches_roots_once_per_distinct_charpoly(monkeypatch, catalog
         computed.append(m)
         return charpoly(m, dim, p)
 
-    def counted_has_eigenvalue(m, dim, p):
-        searched.append(charpoly(m, dim, p))
-        return has_eigenvalue(m, dim, p)
+    def counted_has_eigenvalue(coeffs, p):
+        searched.append(coeffs)
+        return has_eigenvalue(coeffs, p)
 
     monkeypatch.setattr(hasse, "charpoly", counted_charpoly)
     monkeypatch.setattr(hasse, "has_eigenvalue", counted_has_eigenvalue)
@@ -483,5 +520,6 @@ def test_is_hasse_searches_roots_once_per_distinct_charpoly(monkeypatch, catalog
         is_hasse(block)
         assert sorted(computed) == sorted(block.elements)
         assert len(searched) == len(set(searched))
+        assert set(searched) == {charpoly(m, 4, block.modulus) for m in block.elements}
         if block.order() > 1000:
             assert len(searched) < block.order() / 10

@@ -1,5 +1,6 @@
 """Matrix groups over F_l: closures, projectivisation, fixed points."""
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from hassecheck.matgrp import (
     fixed_points,
     fixed_points_scan,
     has_eigenvalue,
+    kernel_basis,
     mat_det,
     mat_mul,
     matrix,
@@ -80,11 +82,11 @@ def test_projective_point_count():
 
 
 def test_fixed_points_examples():
-    assert len(fixed_points((1, 0, 0, 1), 2, 7)) == 8
+    assert len(fixed_points([(1, 0, 0, 1)], 2, 7)) == 8
     companion = (0, 4, 1, 1)  # x^2 - x + 3, no root mod 7
-    assert fixed_points(companion, 2, 7) == set()
+    assert fixed_points([companion], 2, 7) == set()
     diag = (2, 0, 0, 1)
-    assert sorted(fixed_points(diag, 2, 7)) == [(0, 1), (1, 0)]
+    assert sorted(fixed_points([diag], 2, 7)) == [(0, 1), (1, 0)]
 
 
 def test_fixed_points_scan_agrees():
@@ -94,7 +96,53 @@ def test_fixed_points_scan_agrees():
             m = matrix([[rng.randrange(7) for _ in range(2)] for _ in range(2)], 7)
             if m.det() != 0:
                 break
-        assert fixed_points(m.entries, 2, 7) == fixed_points_scan(m)
+        assert fixed_points([m.entries], 2, 7) == fixed_points_scan(m)
+
+
+def test_fixed_points_of_no_matrices_is_every_point():
+    for dim, p in ((2, 2), (2, 7), (4, 3)):
+        assert fixed_points([], dim, p) == set(all_proj_points(dim, p))
+
+
+@pytest.mark.parametrize(
+    "ms",
+    [[(1, 1, 1, 1)], [(1, 0, 0, 1), (2, 4, 1, 2)], [(0, 4, 1, 1), (0, 0, 0, 0)]],
+    ids=["alone", "second", "after-empty"],
+)
+def test_fixed_points_rejects_a_singular_matrix(ms):
+    # also when the matrices before it leave no common fixed point
+    with pytest.raises(SingularMatrixError):
+        fixed_points(ms, 2, 7)
+
+
+def null_space_scan(m: tuple, dim: int, p: int) -> set[tuple]:
+    """Every vector v of F_p^dim with m.v = 0, for the len(m) // dim rows of m."""
+    rows = [m[i : i + dim] for i in range(0, len(m), dim)]
+    return {
+        v for v in itertools.product(range(p), repeat=dim)
+        if all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in rows)
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_basis_on_any_number_of_rows_matches_the_null_space(p):
+    rng = random.Random(80 + p)
+    for dim in (2, 4):
+        for nrows in range(9):
+            for _ in range(12):
+                # rows drawn from the span of `rank` random rows, so that
+                # tall systems keep a nonzero null space; entries outside
+                # [0, p) too
+                rank = rng.randrange(min(nrows, dim) + 1)
+                base = [[rng.randrange(p) for _ in range(dim)] for _ in range(rank)]
+                m = []
+                for _ in range(nrows):
+                    cs = [rng.randrange(p) for _ in base]
+                    m += [sum(c * row[j] for c, row in zip(cs, base)) + p * rng.randrange(-2, 3) for j in range(dim)]
+                basis = kernel_basis(tuple(m), dim, p)
+                null = null_space_scan(tuple(m), dim, p)
+                assert span_vectors(basis, dim, p) == null, (m, basis)
+                assert len(null) == p ** len(basis), (m, basis)  # the basis is independent
 
 
 def test_fixed_points_scalar_invariance():
@@ -106,7 +154,7 @@ def test_fixed_points_scalar_invariance():
                 break
         for lam in range(1, 7):
             scaled = matrix([[lam * e for e in row] for row in m.rows()], 7)
-            assert fixed_points(m.entries, 2, 7) == fixed_points(scaled.entries, 2, 7)
+            assert fixed_points([m.entries], 2, 7) == fixed_points([scaled.entries], 2, 7)
 
 
 def projective_block_order(g1, g2) -> int:
@@ -126,6 +174,27 @@ def test_block_diagonal_order_multiplicative():
     for g1, g2 in ((g18, cyc), (cyc, g18), (c4, c4), (g18, c4), (gl2, c4)):
         assert block_diagonal(g1, g2).order() == projective_block_order(g1, g2)
     assert block_diagonal(c4, c4).order() == 8  # -I + -I is the identity class
+
+
+def test_block_diagonal_joins_each_class_once(monkeypatch):
+    # a + b and s*a + s*b are one class for every common scalar s*I (here
+    # -I, and all six scalars for D6xZ_7), so the tuples joined into the
+    # element set are exactly the classes
+    c4 = closure([matrix([[0, -1], [1, 0]], 7)])
+    gl2 = standard_constructors("gl2", 7)
+    d6z = closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7), matrix([[3, 0], [0, 3]], 7)])
+    joined = []
+
+    def counted(items=()):
+        items = list(items)
+        joined.append(len(items))
+        return frozenset(items)
+
+    monkeypatch.setattr(matgrp, "frozenset", counted, raising=False)
+    for g1, g2 in ((c4, c4), (gl2, c4), (d6z, gl2)):
+        joined.clear()
+        block = block_diagonal(g1, g2)
+        assert joined == [block.order()] == [projective_block_order(g1, g2)], (g1.order(), g2.order())
 
 
 def test_block_diagonal_cap_is_a_hard_error():
@@ -178,7 +247,7 @@ def test_fixed_point_existence_matches_charpoly_roots_on_gl2_f7():
     gl2 = standard_constructors("gl2", 7)
     assert gl2.order() == 2016
     for elt in gl2.elements:
-        assert bool(fixed_points(elt, 2, 7)) == has_eigenvalue(elt, 2, 7) == has_eigenvalue_scan(elt, 2, 7)
+        assert bool(fixed_points([elt], 2, 7)) == has_eigenvalue(charpoly(elt, 2, 7), 7) == has_eigenvalue_scan(elt, 2, 7)
 
 
 def test_has_eigenvalue_matches_the_scan_on_a_dim4_block_group():
@@ -187,7 +256,7 @@ def test_has_eigenvalue_matches_the_scan_on_a_dim4_block_group():
     seen = set()
     for g1, g2 in ((ns, ns), (d6, ns)):
         group = block_diagonal(g1, g2)
-        verdicts = [has_eigenvalue(e, 4, 7) for e in group.elements]
+        verdicts = [has_eigenvalue(charpoly(e, 4, 7), 7) for e in group.elements]
         assert verdicts == [has_eigenvalue_scan(e, 4, 7) for e in group.elements]
         seen.update(verdicts)
     assert seen == {True, False}
@@ -200,12 +269,12 @@ def test_has_eigenvalue_matches_the_scan_on_random_dim4_matrices(p):
     singular = scanned = 0
     for _ in range(2000):
         m = tuple(rng.randrange(p) for _ in range(16))
-        assert has_eigenvalue(m, 4, p) == has_eigenvalue_scan(m, 4, p), m
+        assert has_eigenvalue(charpoly(m, 4, p), p) == has_eigenvalue_scan(m, 4, p), m
         if mat_det(m, 4, p) == 0:
             singular += 1
         elif p <= 3 or scanned < 25:
             scanned += 1
-            assert bool(fixed_points_scan(Matrix(m, 4, p))) == has_eigenvalue(m, 4, p), m
+            assert bool(fixed_points_scan(Matrix(m, 4, p))) == has_eigenvalue(charpoly(m, 4, p), p), m
     assert singular > 0
 
 
