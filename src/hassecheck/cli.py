@@ -15,12 +15,11 @@ import sys
 
 from . import __version__
 from .ffield import is_prime
-from .hasse import LATTICE_BOUND, classify_pgl2, enumerate_subgroups, is_hasse, lemma31_check
+from .hasse import classify_pgl2, enumerate_subgroups, is_hasse, lemma31_check
 from .lmfdb import DataSource, fetch_form, query_candidates
 from .matgrp import MatrixGroup, projectivize, standard_constructors
 from .pipeline import (
     congruence_check,
-    default_bound,
     hasse_verdict,
     rows_to_table,
     scan,
@@ -28,6 +27,9 @@ from .pipeline import (
 from .refdata import reference_discrepancies
 
 EX_OK, EX_OPERATIONAL, EX_USAGE = 0, 2, 64
+
+# Largest ambient group enumerate-hasse accepts: |PGL2(F_11)|.
+LATTICE_BOUND = 1320
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,7 +177,7 @@ def _cmd_lemma31(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     ambient = projectivize(standard_constructors("gl2", args.ell))
-    subs = enumerate_subgroups(ambient, bound=args.bound)
+    subs = enumerate_subgroups(ambient)
     hasse_subs = []
     for s in subs:
         res = is_hasse(s)
@@ -200,7 +202,7 @@ def _cmd_analyze(args) -> int:
     record = fetch_form(source, args.label, bound=args.bound)
     verdict, reports = hasse_verdict(record, args.ell, bound=args.bound)
     doc = {
-        "config": _config(args, label=args.label, resolved_bound=args.bound or default_bound(record.level)),
+        "config": _config(args, label=args.label, resolved_bound=verdict.reasons["bound"]),
         "verdict": verdict.to_dict(),
         "reports": [r.to_dict() for r in reports],
     }

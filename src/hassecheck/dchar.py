@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 
-from .ffield import factorize
+from .ffield import factorize, primitive_root
 
 
 class EmbeddingError(ValueError):
@@ -35,25 +35,6 @@ def _crt_lift(residue: int, q: int, modulus: int) -> int:
     inv = pow(rest, -1, q)
     x = (1 + rest * ((residue - 1) * inv % q)) % modulus
     return x
-
-
-def _primitive_root_pk(p: int, k: int) -> int:
-    """Smallest primitive root mod p^k, p odd."""
-    pk = p**k
-    target = pk - pk // p
-    for g in range(2, pk):
-        if gcd(g, p) != 1:
-            continue
-        order = 1
-        x = g % pk
-        while x != 1:
-            x = x * g % pk
-            order += 1
-            if order > target:
-                break
-        if order == target:
-            return g
-    raise ValueError(f"no primitive root mod {p}^{k}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +64,7 @@ class UnitGroupBasis:
                     gens.append(_crt_lift(5, q, n))
                     orders.append(2 ** (k - 2))
             else:
-                g = _primitive_root_pk(p, k)
+                g = primitive_root(q)
                 gens.append(_crt_lift(g, q, n))
                 orders.append(q - q // p)
         return UnitGroupBasis(n, tuple(gens), tuple(orders))

@@ -2,9 +2,9 @@
 
 Everything here is plain integer arithmetic on word-sized moduli; there are
 no probabilistic shortcuts.  Elements are immutable, so they are safe to
-share across threads and to use as dict keys.  Facts that live over F_{l^2}
-(Frobenius eigenvalue ratios, Galois-conjugate point pairs) are computed
-with 2x2 matrices and binary quadratic forms over F_l instead.
+share across threads.  Facts that live over F_{l^2} (Frobenius eigenvalue
+ratios, Galois-conjugate point pairs) are computed with 2x2 matrices and
+binary quadratic forms over F_l instead.
 """
 
 from __future__ import annotations
@@ -82,17 +82,11 @@ class FieldElement:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         return FieldElement(self.value - o.value, self.modulus)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -127,9 +121,6 @@ class FieldElement:
             and self.value == other.value
         )
 
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
     def __bool__(self):
         return self.value != 0
 
@@ -137,27 +128,22 @@ class FieldElement:
         return f"({self.value} mod {self.modulus})"
 
 
+def legendre(x: int, p: int) -> int:
+    """Euler's criterion for x mod the odd prime p, normalised to {-1, 0, +1}."""
+    if p == 2:
+        raise ValueError("legendre symbol undefined for modulus 2")
+    e = pow(x, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
+
+
 @lru_cache(maxsize=None)
 def least_nonresidue(p: int) -> int:
     """Least positive quadratic non-residue mod p (p odd prime)."""
     _check_modulus(p)
-    if p == 2:
-        raise ValueError("no non-residue mod 2")
     for s in range(2, p):
-        if pow(s, (p - 1) // 2, p) == p - 1:
+        if legendre(s, p) == -1:
             return s
-    raise AssertionError("unreachable for prime p")
-
-
-def legendre(x: FieldElement) -> int:
-    """Euler-criterion value of x, normalised to {-1, 0, +1}."""
-    p = x.modulus
-    if p == 2:
-        raise ValueError("legendre symbol undefined for modulus 2")
-    if x.value == 0:
-        return 0
-    e = pow(x.value, (p - 1) // 2, p)
-    return 1 if e == 1 else -1
+    raise ValueError(f"no non-residue mod {p}")  # only p = 2 has none
 
 
 def mul_order(x: FieldElement) -> int:
@@ -171,10 +157,16 @@ def mul_order(x: FieldElement) -> int:
     return order
 
 
-def primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        if mul_order(FieldElement(g, p)) == p - 1:
-            return g
-    raise ValueError("no primitive root found")
+def primitive_root(q: int) -> int:
+    """Least primitive root mod q, for q = 2 or a power of an odd prime.
+
+    That is the least g coprime to q with g^(phi(q)/r) != 1 mod q for every
+    prime r dividing phi(q); it generates F_l^x and (Z/p^k)^x alike.
+    """
+    fac = factorize(q)
+    if len(fac) != 1 or (2 in fac and q != 2):
+        raise ValueError(f"{q} is neither 2 nor a power of an odd prime")
+    (p,) = fac
+    phi = q - q // p
+    rs = factorize(phi)
+    return next(g for g in range(1, q) if g % p and all(pow(g, phi // r, q) != 1 for r in rs))

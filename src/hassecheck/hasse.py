@@ -26,9 +26,6 @@ from .matgrp import (
     projectivize,
 )
 
-# Largest ambient group enumerate_subgroups accepts: |PGL2(F_11)|.
-LATTICE_BOUND = 1320
-
 
 @dataclass(frozen=True)
 class HasseResult:
@@ -183,6 +180,8 @@ def _proj_det_values(group: ProjGroup) -> set[int]:
     vals = set()
     for elt in group.elements:
         d = mat_det(elt, 2, p)
+        # Euler's criterion inline, not ffield.legendre: at p = 2 every
+        # determinant is 1 and must read +1, where legendre raises.
         vals.add(1 if pow(d, (p - 1) // 2, p) == 1 else -1)
     return vals
 
@@ -283,7 +282,7 @@ def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
 # subgroup enumeration
 
 
-def enumerate_subgroups(ambient: ProjGroup, bound: int = LATTICE_BOUND) -> list[ProjGroup]:
+def enumerate_subgroups(ambient: ProjGroup) -> list[ProjGroup]:
     """All subgroups of `ambient` up to conjugacy.
 
     Iterative extension: every subgroup arises from a smaller one by
@@ -297,8 +296,6 @@ def enumerate_subgroups(ambient: ProjGroup, bound: int = LATTICE_BOUND) -> list[
     sub*g: every element of the coset gives the same extension.
     """
     n = ambient.order()
-    if n > bound:
-        raise ValueError(f"ambient order {n} exceeds bound {bound}")
     elements = sorted(ambient.elements)
     index = {e: i for i, e in enumerate(elements)}
     table = [[0] * n for _ in range(n)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 
 from .ffield import is_prime, least_nonresidue, primitive_root
 
@@ -120,23 +120,8 @@ def kernel_basis(m: tuple, dim: int, p: int) -> list[tuple]:
 
 
 def all_proj_points(dim: int, p: int) -> list[tuple]:
-    """All points of P^{dim-1}(F_p) in canonical form, sorted."""
-    pts = []
-
-    def rec(prefix, started):
-        if len(prefix) == dim:
-            if started:
-                pts.append(tuple(prefix))
-            return
-        if not started:
-            rec(prefix + [0], False)
-            rec(prefix + [1], True)
-        else:
-            for c in range(p):
-                rec(prefix + [c], True)
-
-    rec([], False)
-    return sorted(pts)
+    """All points of P^{dim-1}(F_p) in canonical form, sorted (product order is sorted)."""
+    return [v for v in product(range(p), repeat=dim) if next(filter(None, v), 0) == 1]
 
 
 def subspace_points(basis: list[tuple], dim: int, p: int) -> set[tuple]:
@@ -186,9 +171,6 @@ class Matrix:
         if not is_prime(self.modulus):
             raise ValueError(f"modulus {self.modulus} is not prime")
         object.__setattr__(self, "entries", tuple(e % self.modulus for e in self.entries))
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        return Matrix(mat_mul(self.entries, other.entries, self.dim, self.modulus), self.dim, self.modulus)
 
     def det(self) -> int:
         return mat_det(self.entries, self.dim, self.modulus)

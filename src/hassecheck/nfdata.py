@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import floor
 
 from .dchar import DirichletCharacter, RingEmbedding, evaluate, twist_modulus
-from .ffield import FieldElement, factorize, is_prime, legendre
+from .ffield import factorize, is_prime, legendre
 from .matgrp import pgl2_order
 
 
@@ -70,9 +70,6 @@ class QuadElement:
     def __sub__(self, other):
         self._same(other)
         return QuadElement(self.c0 - other.c0, self.c1 - other.c1, self.m0, self.m1)
-
-    def __neg__(self):
-        return QuadElement(-self.c0, -self.c1, self.m0, self.m1)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -141,11 +138,13 @@ def split_primes(field_poly, ell: int):
     Returns None in the inert case; raises RamifiedPrimeError on a double
     root.  Maps come in canonical order, smaller root first.
     """
+    if not is_prime(ell):
+        raise ValueError(f"modulus {ell} is not prime")
     m0, m1 = int(field_poly[0]), int(field_poly[1])
-    disc = FieldElement(m1 * m1 - 4 * m0, ell)
-    if disc.value == 0:
+    symbol = legendre(m1 * m1 - 4 * m0, ell)  # of the discriminant
+    if symbol == 0:
         raise RamifiedPrimeError(f"{ell} ramifies in the coefficient field")
-    if legendre(disc) == -1:
+    if symbol == -1:
         return None
     rs = [x for x in range(ell) if (x * x + m1 * x + m0) % ell == 0]
     return (

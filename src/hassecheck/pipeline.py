@@ -17,7 +17,7 @@ from math import lcm
 
 from . import dchar
 from .dchar import DirichletCharacter, kernel_field_disc, twist_modulus
-from .ffield import FieldElement, is_prime, mul_order, primitive_root
+from .ffield import FieldElement, is_prime, legendre, mul_order, primitive_root
 from .hasse import sutherland_dihedral
 from .lmfdb import DataSource, fetch_form, list_fixture_labels, query_candidates
 from .nfdata import (
@@ -154,8 +154,7 @@ def not_borel_witness(frob: dict[int, FrobData]):
     That is a non-square discriminant t^2 - 4d, by Euler's criterion.
     """
     for p, fd in frob.items():
-        ell = fd.ell
-        if pow(fd.trace * fd.trace - 4 * fd.det, (ell - 1) // 2, ell) == ell - 1:
+        if legendre(fd.trace * fd.trace - 4 * fd.det, fd.ell) == -1:
             return p
     return None
 

@@ -224,6 +224,17 @@ def test_analyze_fixture(capsys):
     assert doc["config"]["source"] == "fixtures"
 
 
+@pytest.mark.parametrize("label, bound, resolved", [
+    ("189.2.p.a", None, 432), ("189.2.p.a", "300", 300), ("20.2.e.a", None, default_bound(20)),
+])
+def test_analyze_echoes_the_bound_the_verdict_used(capsys, label, bound, resolved):
+    argv = ["analyze", "--label", label, "--ell", "7"] + (["--bound", bound] if bound else [])
+    rc, out, _ = run(capsys, argv)
+    assert rc == EX_OK
+    doc = json.loads(out)
+    assert doc["config"]["resolved_bound"] == doc["verdict"]["reasons"]["bound"] == resolved
+
+
 def test_analyze_reads_a_cache_dir(tmp_path, capsys):
     (tmp_path / "forms").mkdir()
     shutil.copy(fixture_dir() / "189.2.p.a.json", tmp_path / "forms")
@@ -305,6 +316,30 @@ def test_fetch_lists_candidates_from_fixtures(capsys):
     assert rc == EX_OK
     labels = json.loads(out)["labels"]
     assert "7938.2.a.bj" in labels and len(labels) == 6
+
+
+def test_scan_filters_select_the_non_cm_rows_of_the_golden_scan(capsys):
+    rc, out, _ = run(capsys, [
+        "scan", "--ell", "7", "--source", "fixtures", "--bound", "1000", "--format", "json",
+        "--no-cm", "--inner-twist-count", "1",
+    ])
+    assert rc == EX_OK
+    doc = json.loads(out)
+    assert doc["config"]["filters"] == {"dimension": 2, "cm": False, "inner_twist_count": 1}
+    golden = json.loads((GOLDEN / "scan_ell7_b1000.json").read_text())
+    labels = ["7938.2.a.bj", "7938.2.a.bk", "7938.2.a.bp", "7938.2.a.bq", "9099.2.a.e", "9099.2.a.g"]
+    assert doc["rows"] == [row for row in golden if row["label"] in labels]
+    assert [row["label"] for row in doc["rows"]] == labels
+
+
+def test_fetch_one_label_from_fixtures(capsys):
+    rc, out, _ = run(capsys, ["fetch", "--source", "fixtures", "--label", "189.2.p.a"])
+    assert rc == EX_OK
+    doc = json.loads(out)
+    assert {k: doc[k] for k in ("label", "level", "ap_max_prime", "cached")} == {
+        "label": "189.2.p.a", "level": 189, "ap_max_prime": 1009, "cached": True,
+    }
+    assert (doc["config"]["label"], doc["config"]["source"]) == ("189.2.p.a", "fixtures")
 
 
 def test_fetch_dimension_is_a_usage_error(capsys):

@@ -3,7 +3,8 @@
 Every fixture that splits at 7, both prime ideals, at bound 1000 and at the
 default bound: the Frobenius table is checked against exact ring values
 reduced by the ideal's map, and each pipeline stage against a local copy of
-its FieldElement version (evaluate, sign_value, legendre).
+its FieldElement version (evaluate, sign_value, legendre).  The int-valued
+`legendre` is checked against the FieldElement Euler criterion it replaced.
 """
 
 from math import lcm
@@ -12,7 +13,7 @@ import pytest
 
 from hassecheck import dchar
 from hassecheck.dchar import RingEmbedding, evaluate, kernel_field_disc, twist_modulus
-from hassecheck.ffield import FieldElement, legendre, mul_order, primitive_root
+from hassecheck.ffield import FieldElement, is_prime, legendre, mul_order, primitive_root
 from hassecheck.lmfdb import DataSource, fetch_form, list_fixture_labels
 from hassecheck.nfdata import DataCoverageError, RamifiedPrimeError, default_bound, split_primes
 from hassecheck.pipeline import (
@@ -45,6 +46,23 @@ def test_every_fixture_but_the_inert_and_ramified_one_splits():
 
 
 # -- the FieldElement versions ----------------------------------------------
+
+
+def fe_legendre(x):
+    """Euler-criterion value of the FieldElement x, normalised to {-1, 0, +1}."""
+    p = x.modulus
+    if p == 2:
+        raise ValueError("legendre symbol undefined for modulus 2")
+    if x.value == 0:
+        return 0
+    e = pow(x.value, (p - 1) // 2, p)
+    return 1 if e == 1 else -1
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 32) if is_prime(p)])
+def test_legendre_matches_the_field_element_version(p):
+    for x in range(-p, 2 * p):  # every residue, by more than one representative
+        assert legendre(x, p) == fe_legendre(FieldElement(x, p)), (x, p)
 
 
 def ring_table(record, rmap, bound):
@@ -106,7 +124,7 @@ def fe_dihedral_order(frob, alpha, ell, bound):
     for p, (t, d) in frob.items():
         if alpha.sign_value(p) == -1:
             continue
-        if legendre(t * t - 4 * d) == 0:
+        if fe_legendre(t * t - 4 * d) == 0:
             skipped.append(p)
             continue
         used += 1
@@ -125,7 +143,7 @@ def fe_dihedral_order(frob, alpha, ell, bound):
 
 
 def fe_not_borel_witness(frob):
-    return next((p for p, (t, d) in frob.items() if legendre(t * t - 4 * d) == -1), None)
+    return next((p for p, (t, d) in frob.items() if fe_legendre(t * t - 4 * d) == -1), None)
 
 
 # -- the comparison -----------------------------------------------------------

@@ -367,12 +367,6 @@ def test_enumerate_subgroups_matches_the_exhaustive_oracle(ell):
     assert got == want
 
 
-def test_enumerate_bound_enforced():
-    ambient = projectivize(standard_constructors("gl2", 7))
-    with pytest.raises(ValueError):
-        enumerate_subgroups(ambient, bound=100)
-
-
 def test_global_fixed_points_of_borel():
     borel = projectivize(standard_constructors("borel", 7))
     pts = global_fixed_points(borel)

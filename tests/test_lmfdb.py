@@ -11,6 +11,7 @@ from hassecheck.lmfdb import (
     DataSource,
     LabelSyntaxError,
     NotFoundError,
+    PartialDataError,
     TransportError,
     fetch_form,
     fixture_dir,
@@ -191,3 +192,46 @@ def test_malformed_upstream_coefficient_is_a_transport_error(tmp_path):
     hecke["data"][0]["ap"][0] = ["a", "0"]
     with pytest.raises(TransportError):
         fetch_form(_http_source(tmp_path, newform, hecke), "189.2.p.a", bound=100)
+
+
+def test_fetch_below_the_requested_bound_is_partial_data(tmp_path):
+    record = fetch_form(fixtures_source(), "189.2.p.a")
+    newform, hecke = _upstream_payloads(record, 100)
+    with pytest.raises(PartialDataError) as exc:
+        fetch_form(_http_source(tmp_path, newform, hecke), "189.2.p.a", bound=200)
+    assert exc.value.achieved == 100
+    assert "wanted 200" in str(exc.value)
+    assert not (tmp_path / "forms" / "189.2.p.a.json").exists()  # nothing partial is cached
+
+
+def test_query_candidates_over_http_then_from_the_query_cache(tmp_path):
+    calls = []
+
+    def fake_transport(url, params):
+        calls.append((url, params))
+        return {"data": [{"label": "9099.2.a.g"}, {"label": "7938.2.a.bj"}]}
+
+    filters = {"dimension": 2, "cm": False, "inner_twist_count": 1, "level_range": [7938, 9099]}
+    src = DataSource(mode="http", cache_dir=tmp_path, transport=fake_transport, delay=0)
+    assert query_candidates(src, filters) == ["7938.2.a.bj", "9099.2.a.g"]
+    assert calls == [(
+        f"{src.base_url}/mf_newforms/",
+        {"dim": 2, "_format": "json", "_fields": "label", "is_cm": "false",
+         "inner_twist_count": 1, "level": "7938-9099"},
+    )]
+    assert len(list((tmp_path / "queries").glob("*.json"))) == 1
+
+    offline = DataSource(mode="cache_only", cache_dir=tmp_path, transport=_panic_transport)
+    assert query_candidates(offline, filters) == ["7938.2.a.bj", "9099.2.a.g"]
+    assert len(calls) == 1
+
+    query_candidates(src, {"dimension": 2, "cm": True})
+    assert calls[1][1] == {"dim": 2, "_format": "json", "_fields": "label", "is_cm": "true"}
+
+
+@pytest.mark.parametrize("payload", [{}, {"data": [{"name": "x"}]}, {"data": None}])
+def test_malformed_candidate_payload_is_a_transport_error(tmp_path, payload):
+    src = DataSource(mode="http", cache_dir=tmp_path, transport=lambda url, params: payload, delay=0)
+    with pytest.raises(TransportError):
+        query_candidates(src, {"dimension": 2})
+    assert not (tmp_path / "queries").exists()

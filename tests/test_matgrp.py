@@ -81,6 +81,16 @@ def test_projective_point_count():
     assert len(all_proj_points(4, 11)) == 1464
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_projective_points_are_the_sorted_canonical_classes(dim, p):
+    pts = all_proj_points(dim, p)
+    assert pts == sorted(pts)
+    assert len(pts) == (p**dim - 1) // (p - 1)
+    classes = {proj_canonical(v, p) for v in itertools.product(range(p), repeat=dim) if any(v)}
+    assert pts == sorted(classes)
+
+
 def test_fixed_points_examples():
     assert len(fixed_points([(1, 0, 0, 1)], 2, 7)) == 8
     companion = (0, 4, 1, 1)  # x^2 - x + 3, no root mod 7

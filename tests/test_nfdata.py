@@ -48,6 +48,13 @@ def test_split_primes_examples():
         split_primes(ZETA6, 3)
 
 
+@pytest.mark.parametrize("ell", [9, 15, 49])
+def test_split_primes_rejects_a_composite_modulus(ell):
+    # x^2 - 2 has roots mod 49 and a square discriminant mod 9: only the check stops them
+    with pytest.raises(ValueError, match="not prime"):
+        split_primes(SQRT2, ell)
+
+
 def test_ideal_display():
     maps = split_primes(SQRT2, 7)
     assert maps[0].ideal_display() == "(1 + 2b)"

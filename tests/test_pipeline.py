@@ -179,11 +179,11 @@ def test_not_borel_witness():
     w = not_borel_witness(frob_table(rec, r4, 1000))
     assert w is not None
     # witness really has irreducible characteristic polynomial
-    from hassecheck.ffield import legendre, FieldElement
+    from hassecheck.ffield import legendre
     from hassecheck.nfdata import frob_charpoly, reduce_char_embedding
 
     fd = frob_charpoly(rec, w, r4, reduce_char_embedding(rec, r4))
-    assert legendre(FieldElement(fd.trace * fd.trace - 4 * fd.det, 7)) == -1
+    assert legendre(fd.trace * fd.trace - 4 * fd.det, 7) == -1
     # a Hasse-type dihedral image fixes a point elementwise: no witness exists
     rec2 = fetch_form(SRC, "189.2.p.a")
     for rmap in rmaps(rec2):
@@ -212,6 +212,25 @@ def test_verdict_undetermined_paths():
     # data coverage beyond the fixture bound
     v, _ = hasse_verdict(fetch_form(SRC, "7938.2.a.bk"), 7)  # default bound is huge
     assert v.verdict == "undetermined" and "data_coverage" in v.reasons
+
+
+@pytest.mark.parametrize("label, last_change, settled", [("117.2.q.b", 37, "not_hasse"), ("189.2.p.a", 13, "hasse")])
+def test_order_changing_within_the_margin_of_the_bound_is_undetermined(label, last_change, settled):
+    # the dihedral order last changes at `last_change`; it counts as settled
+    # only once the bound lies STABILIZATION_MARGIN or more beyond that prime
+    record = fetch_form(SRC, label)
+    edge = last_change + pipeline.STABILIZATION_MARGIN
+    v, reports = hasse_verdict(record, 7, bound=edge - 1)
+    assert v.verdict == "undetermined" and v.reasons["dihedral_ideal"] is None
+    for rep in reports:
+        assert (rep.status, rep.image_cell) == ("insufficient_data", "?")
+        assert rep.flags["order_audit"]["stabilized_at"] == last_change
+    row = pipeline._scan_one(record, 7, edge - 1)
+    assert row["images"] == ["?", "?"]
+    assert pipeline.rows_to_table([row]).splitlines()[2].endswith(": ?")
+    v, reports = hasse_verdict(record, 7, bound=edge)
+    assert v.verdict == settled
+    assert [rep.status for rep in reports] == ["dihedral", "dihedral"]
 
 
 def test_root_relabeling_commutes_with_conjugation():
