@@ -73,19 +73,10 @@ class UnitGroupBasis:
     def dlog_table(self) -> dict:
         """Unit residue -> exponent vector, enumerated once per basis."""
         n = self.modulus
-        table = {}
-
-        def rec(i, acc, exps):
-            if i == len(self.generators):
-                table[acc] = tuple(exps)
-                return
-            g, og = self.generators[i], self.orders[i]
-            x = 1
-            for e in range(og):
-                rec(i + 1, acc * x % n, exps + [e])
-                x = x * g % n
-
-        rec(0, 1 % n, [])
+        table = {1 % n: ()}
+        for g, og in zip(self.generators, self.orders):
+            powers = [pow(g, e, n) for e in range(og)]
+            table = {acc * x % n: exps + (e,) for acc, exps in table.items() for e, x in enumerate(powers)}
         return table
 
 
@@ -147,18 +138,12 @@ class DirichletCharacter:
         return all(e == 0 for e in self.exponents)
 
     def conductor(self) -> int:
+        """The least d | N with chi trivial on the units = 1 mod d, i.e. on range(1, N, d)."""
         n = self.modulus
-        divisors = sorted(d for d in range(1, n + 1) if n % d == 0)
-        for d in divisors:
-            ok = True
-            for a in range(1, n):
-                if gcd(a, n) == 1 and a % d == 1 % d:
-                    if self.exponent_at(a) != 0:
-                        ok = False
-                        break
-            if ok:
-                return d
-        return n
+        return next(
+            d for d in range(1, n + 1)
+            if n % d == 0 and all(self.exponent_at(a) in (0, None) for a in range(1, n, d))
+        )
 
     def sign_value(self, a: int) -> int:
         """chi(a) in {-1, 0, +1}; only valid for characters of order <= 2."""
@@ -194,15 +179,13 @@ class DirichletCharacter:
 
 def evaluate(chi: DirichletCharacter, a: int, embed):
     """chi(a) under the given embedding; the embedding's zero when gcd(a,N)>1."""
-    if chi.zeta_order > 1 and embed.m % chi.zeta_order:
+    if embed.m % chi.zeta_order:
         raise EmbeddingError(
             f"embedding of order {embed.m} cannot host a character of zeta order {chi.zeta_order}"
         )
     k = chi.exponent_at(a)
     if k is None:
         return embed.zero()
-    if chi.zeta_order == 1:
-        return embed.root_power(0)
     return embed.root_power(k * (embed.m // chi.zeta_order))
 
 

@@ -261,8 +261,12 @@ def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
 
     predicted: one factor is Hasse and the other has no global fixed point.
     brute_force: the full Hasse test on the projective image of G1 + G2.
-    contract_holds: predicted implies brute_force Hasse.  The contract is
-    one-directional: a block group can be Hasse without the prediction.
+    contract_holds: predicted implies brute_force Hasse.  On the full
+    product built here the converse holds too, so predicted equals
+    brute_force.is_hasse: a lift a + b has an eigenvalue exactly when a or b
+    has one, and a line fixed by G1 + G2 projects to a line fixed by G1 or
+    G2.  The one-way contract is what a subdirect image H < G1 x G2 can
+    still rely on.
     The block group is built first, so its checks on the factors (dim 2,
     one modulus, the size cap) run before any Hasse test.
     """

@@ -142,7 +142,8 @@ def query_candidates(source: DataSource, filters: dict) -> list[str]:
     """Sorted labels matching the scan filters; cached by filter string.
 
     Canonical filters: dimension (always 2 here), cm (bool), inner_twist_count,
-    level_range = [lo, hi] (optional).
+    level_range = [lo, hi] (optional).  http mode always queries upstream and
+    rewrites the cached list; cache_only mode reads it.
     """
     key = json.dumps(filters, sort_keys=True, separators=(",", ":"))
 
@@ -150,14 +151,14 @@ def query_candidates(source: DataSource, filters: dict) -> list[str]:
         labels = []
         for path in sorted(Path(source.fixtures).glob("*.json")):
             rec = _load_record(path)
-            if not _matches(rec, filters):
+            if not matches(rec, filters):
                 continue
             labels.append(rec.label)
         return sorted(labels)
 
     cdir = source.cache_dir / "queries"
     cpath = cdir / (re.sub(r"[^a-zA-Z0-9._-]", "_", key) + ".json")
-    if cpath.exists():
+    if source.mode == "cache_only" and cpath.exists():
         return json.loads(cpath.read_text())
     payload = source._get(f"{source.base_url}/mf_newforms/", _query_candidates(filters))
     labels = sorted(translate_labels(payload))
@@ -166,7 +167,8 @@ def query_candidates(source: DataSource, filters: dict) -> list[str]:
     return labels
 
 
-def _matches(rec: NewformRecord, filters: dict) -> bool:
+def matches(rec: NewformRecord, filters: dict) -> bool:
+    """True when a record passes the scan filters (every record has dimension 2)."""
     if "cm" in filters and rec.cm != filters["cm"]:
         return False
     if "inner_twist_count" in filters and rec.inner_twist_count != filters["inner_twist_count"]:

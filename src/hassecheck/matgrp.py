@@ -127,22 +127,16 @@ def all_proj_points(dim: int, p: int) -> list[tuple]:
 def subspace_points(basis: list[tuple], dim: int, p: int) -> set[tuple]:
     """Projectivised points of the span of `basis`.
 
-    Proportional coefficient vectors give the same point, so only those whose
-    first nonzero entry is 1 are combined: (p^k - 1)/(p - 1) of them for k
-    basis vectors, one per point when the basis is independent.
+    Proportional coefficient vectors give the same point, so only the
+    canonical ones, `all_proj_points(len(basis), p)`, are combined: one per
+    point when the basis is independent.  A zero combination arises only
+    from a dependent basis and is skipped.
     """
     pts = set()
-    k = len(basis)
-
-    def combos(i, acc, started):
-        if i == k:
-            if any(acc):
-                pts.add(proj_canonical(tuple(acc), p))
-            return
-        for c in range(p) if started else (0, 1):
-            combos(i + 1, [(x + c * y) % p for x, y in zip(acc, basis[i])], started or c == 1)
-
-    combos(0, [0] * dim, False)
+    for coeffs in all_proj_points(len(basis), p):
+        v = [sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(dim)]
+        if any(v):
+            pts.add(proj_canonical(tuple(v), p))
     return pts
 
 
@@ -323,7 +317,7 @@ def pgl2_order(t: int, d: int, p: int) -> int:
     return k
 
 
-def _roots(coeffs: tuple, p: int):
+def roots(coeffs: tuple, p: int):
     """Roots in F_p, ascending, of x^n - c_1 x^(n-1) + c_2 x^(n-2) - ... for coeffs (c_1, ..., c_n)."""
     signed = [-c if k % 2 else c for k, c in enumerate(coeffs, 1)]
     for lam in range(p):
@@ -336,7 +330,7 @@ def _roots(coeffs: tuple, p: int):
 
 def has_eigenvalue(coeffs: tuple, p: int) -> bool:
     """True iff the characteristic polynomial with coefficients `coeffs` (see charpoly) has a root in F_p."""
-    return next(_roots(coeffs, p), None) is not None
+    return next(roots(coeffs, p), None) is not None
 
 
 def fixed_points(ms, dim: int, p: int) -> set[tuple]:
@@ -349,7 +343,8 @@ def fixed_points(ms, dim: int, p: int) -> set[tuple]:
     A choice of roots whose null space is zero is dropped before the next
     matrix is stacked, and points are listed only for the choices left at
     the end.  Eigenspaces of distinct roots of one matrix meet only in 0, so
-    no point is listed twice.
+    no point is listed twice.  With no matrices the one system left is
+    empty, and its null space is the whole space.
     """
     shifts = []  # per matrix, m - lam*I for each root lam
     for m in ms:
@@ -358,10 +353,8 @@ def fixed_points(ms, dim: int, p: int) -> set[tuple]:
             raise SingularMatrixError("fixed points only defined for invertible matrices")
         shifts.append([  # the diagonal entries are every (dim + 1)-th
             tuple((x - lam) % p if i % (dim + 1) == 0 else x for i, x in enumerate(m))
-            for lam in _roots(coeffs, p)
+            for lam in roots(coeffs, p)
         ])
-    if not shifts:
-        return set(all_proj_points(dim, p))
     systems = [()]
     for rows in shifts:
         systems = [s + r for s in systems for r in rows if kernel_basis(s + r, dim, p)]

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import floor
 
 from .dchar import DirichletCharacter, RingEmbedding, evaluate, twist_modulus
-from .ffield import factorize, is_prime, legendre
-from .matgrp import pgl2_order
+from .ffield import factorize, is_prime
+from .matgrp import pgl2_order, roots
 
 
 class RamifiedPrimeError(ValueError):
@@ -135,22 +135,18 @@ def _format_gen(a: int, b: int) -> str:
 def split_primes(field_poly, ell: int):
     """Both reduction maps when x^2 + m1 x + m0 splits mod ell.
 
-    Returns None in the inert case; raises RamifiedPrimeError on a double
-    root.  Maps come in canonical order, smaller root first.
+    Returns None in the inert case (no root); raises RamifiedPrimeError on a
+    double root.  Maps come in canonical order, smaller root first.
     """
     if not is_prime(ell):
         raise ValueError(f"modulus {ell} is not prime")
     m0, m1 = int(field_poly[0]), int(field_poly[1])
-    symbol = legendre(m1 * m1 - 4 * m0, ell)  # of the discriminant
-    if symbol == 0:
+    rs = list(roots((-m1, m0), ell))
+    if len(rs) == 1:
         raise RamifiedPrimeError(f"{ell} ramifies in the coefficient field")
-    if symbol == -1:
+    if not rs:
         return None
-    rs = [x for x in range(ell) if (x * x + m1 * x + m0) % ell == 0]
-    return (
-        ReductionMap(ell, rs[0], m0, m1),
-        ReductionMap(ell, rs[1], m0, m1),
-    )
+    return tuple(ReductionMap(ell, r, m0, m1) for r in rs)
 
 
 def sturm_bound(level: int, weight: int) -> int:
@@ -311,9 +307,14 @@ class NewformRecord:
 
     def _validate(self) -> None:
         """Reject a record whose fields contradict each other."""
-        label, level = self.label, self.level
-        if label.split(".")[0] != str(level):
+        label, level, weight = self.label, self.level, self.weight
+        if weight != 2:  # the det p*eps(p) and the Sturm bounds are weight-2 rules
+            raise ValueError(f"{label}: weight {weight} is not 2")
+        fields = label.split(".")
+        if fields[0] != str(level):
             raise ValueError(f"{label}: label does not name level {level}")
+        if fields[1:2] != [str(weight)]:
+            raise ValueError(f"{label}: label does not name weight {weight}")
         if self.char.modulus != level:
             raise ValueError(f"{label}: character modulus {self.char.modulus} is not the level {level}")
         for p in range(2, self.ap_max_prime + 1):

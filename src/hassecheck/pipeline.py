@@ -19,7 +19,7 @@ from . import dchar
 from .dchar import DirichletCharacter, kernel_field_disc, twist_modulus
 from .ffield import FieldElement, is_prime, legendre, mul_order, primitive_root
 from .hasse import sutherland_dihedral
-from .lmfdb import DataSource, fetch_form, list_fixture_labels, query_candidates
+from .lmfdb import DataSource, fetch_form, list_fixture_labels, matches, query_candidates
 from .nfdata import (
     DataCoverageError,
     FrobData,
@@ -382,20 +382,12 @@ def congruence_check(
         bound = sturm_bound(lcm(f.level, g.level), 2)
     bound = min(bound, f.ap_max_prime, g.ap_max_prime)
     primes = test_primes(f.level * g.level, ell, bound)
-    for p in primes:
-        if reduce_coeff(f, p, rf) != reduce_coeff(g, p, rg):
-            return {
-                "congruent": False,
-                "first_violation": p,
-                "bound": bound,
-                "primes_tested": primes.index(p) + 1,
-                "finite_verification": True,
-            }
+    first = next((p for p in primes if reduce_coeff(f, p, rf) != reduce_coeff(g, p, rg)), None)
     return {
-        "congruent": True,
-        "first_violation": None,
+        "congruent": first is None,
+        "first_violation": first,
         "bound": bound,
-        "primes_tested": len(primes),
+        "primes_tested": len(primes) if first is None else primes.index(first) + 1,
         "finite_verification": True,
     }
 
@@ -434,12 +426,15 @@ def scan(
     Forms are restricted to those whose coefficient field splits at ell
     (matching the scan this tool reproduces); non-split forms and per-form
     failures become rows with a skip/error marker rather than aborting.
+    Explicit labels are scanned as given.  In fixtures mode the filters are
+    applied to each record as it is loaded, so a record that fails to load
+    is an error row; the other modes ask query_candidates for the labels.
     """
-    if labels is None:
-        if filters:
-            labels = query_candidates(source, filters)
-        else:
-            labels = list_fixture_labels(source)
+    select = None  # filters applied to each loaded record
+    if labels is None and filters and source.mode != "fixtures":
+        labels = query_candidates(source, filters)
+    elif labels is None:
+        labels, select = list_fixture_labels(source), filters
     rows: list[dict] = []
     for label in sorted(labels):
         try:
@@ -448,6 +443,8 @@ def scan(
             rows.append({"label": label, "error": f"{type(exc).__name__}: {exc}"})
             continue
         if level_max is not None and record.level > level_max:
+            continue
+        if select and not matches(record, select):
             continue
         rows.append(_scan_one(record, ell, bound))
     rows.sort(key=lambda r: _label_sort_key(r["label"]))

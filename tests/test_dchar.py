@@ -2,7 +2,7 @@
 
 import json
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given
@@ -77,6 +77,57 @@ def test_fl_valued_counts():
     assert len(fl_valued_characters(49, 7)) == 6
     assert len(fl_valued_characters(1, 7)) == 1
     assert len(fl_valued_characters(189, 7)) == 36
+
+
+def old_conductor(chi):
+    """The former loop: a flagged scan of (Z/N)^x for every divisor of N."""
+    n = chi.modulus
+    divisors = sorted(d for d in range(1, n + 1) if n % d == 0)
+    for d in divisors:
+        ok = True
+        for a in range(1, n):
+            if gcd(a, n) == 1 and a % d == 1 % d:
+                if chi.exponent_at(a) != 0:
+                    ok = False
+                    break
+        if ok:
+            return d
+    return n
+
+
+def old_dlog_table(basis):
+    """The former recursion over the generators' exponents."""
+    n = basis.modulus
+    table = {}
+
+    def rec(i, acc, exps):
+        if i == len(basis.generators):
+            table[acc] = tuple(exps)
+            return
+        g, og = basis.generators[i], basis.orders[i]
+        x = 1
+        for e in range(og):
+            rec(i + 1, acc * x % n, exps + [e])
+            x = x * g % n
+
+    rec(0, 1 % n, [])
+    return table
+
+
+def test_conductor_matches_the_former_loop_below_400():
+    count = 0
+    for n in range(1, 400):
+        for chi in quadratic_characters(n) + fl_valued_characters(n, 7):  # orders dividing 2 and 6
+            assert chi.conductor() == old_conductor(chi), (n, chi.zeta_order, chi.exponents)
+            count += 1
+    assert count == 5996
+
+
+def test_dlog_table_matches_the_former_recursion_below_1200():
+    for n in range(1, 1200):
+        cached = UnitGroupBasis.for_modulus(n)
+        basis = UnitGroupBasis(n, cached.generators, cached.orders)  # its table is not kept
+        assert list(basis.dlog_table.items()) == list(old_dlog_table(basis).items()), n
 
 
 def test_trivial_character_evaluates_to_one():

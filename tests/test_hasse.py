@@ -1,6 +1,7 @@
 """Hasse property, PGL2 classification, block-sum checker, subgroup lattice."""
 
 import functools
+import json
 import random
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hassecheck.hasse import (
     lemma31_check,
     sutherland_dihedral,
 )
-from hassecheck.ffield import least_nonresidue
+from hassecheck.ffield import least_nonresidue, primitive_root
 from hassecheck import hasse
 from hassecheck.matgrp import (
     Matrix,
@@ -436,6 +437,38 @@ def test_lemma31_check_decides_the_contract(catalogue):
         out = lemma31_check(g1, g2)
         assert out["contract_holds"] is ((not out["predicted"]) or out["brute_force"].is_hasse)
         assert out["contract_holds"] is True
+
+
+def test_lemma31_prediction_is_exact_on_the_golden_pairs():
+    rows = [json.loads(line) for line in (GOLDEN / "lemma31_pairs.jsonl").read_text().splitlines()]
+    assert [r["predicted"] for r in rows] == [r["brute_force"]["is_hasse"] for r in rows]
+    assert (len(rows), sum(r["predicted"] for r in rows)) == (31, 23)
+
+
+def lattice_lifts(ell: int) -> list:
+    """GL2 lifts of the PGL2(F_ell) lattice classes, each closed without and with the scalars."""
+    scalar = matrix([[primitive_root(ell), 0], [0, primitive_root(ell)]], ell)
+    lifts = []
+    for name, sub in pinned_groups():
+        if name.startswith(f"lattice-{ell}-"):
+            gens = [Matrix(m, 2, ell) for m in sub.generators] or [matrix([[1, 0], [0, 1]], ell)]
+            lifts += [closure(gens), closure([*gens, scalar])]
+    return lifts
+
+
+@pytest.mark.parametrize("ell, pairs", [(3, 484), (5, 1392)])
+def test_lemma31_prediction_is_exact_on_full_products_of_lattice_lifts(ell, pairs):
+    # for the full product G1 + G2 the prediction is also necessary: the
+    # block group is Hasse exactly when lemma31_check predicts it
+    lifts = lattice_lifts(ell)
+    checked = 0
+    for g1 in lifts:
+        for g2 in lifts:
+            if g1.order() * g2.order() <= 20_000:
+                out = lemma31_check(g1, g2)
+                assert out["predicted"] == out["brute_force"].is_hasse, (g1.generators, g2.generators)
+                checked += 1
+    assert checked == pairs
 
 
 def common_fixed_points_scan(ms, dim: int, p: int) -> set[tuple]:

@@ -206,10 +206,11 @@ def test_fetch_below_the_requested_bound_is_partial_data(tmp_path):
 
 def test_query_candidates_over_http_then_from_the_query_cache(tmp_path):
     calls = []
+    upstream = [{"label": "9099.2.a.g"}, {"label": "7938.2.a.bj"}]
 
     def fake_transport(url, params):
         calls.append((url, params))
-        return {"data": [{"label": "9099.2.a.g"}, {"label": "7938.2.a.bj"}]}
+        return {"data": list(upstream)}
 
     filters = {"dimension": 2, "cm": False, "inner_twist_count": 1, "level_range": [7938, 9099]}
     src = DataSource(mode="http", cache_dir=tmp_path, transport=fake_transport, delay=0)
@@ -225,8 +226,15 @@ def test_query_candidates_over_http_then_from_the_query_cache(tmp_path):
     assert query_candidates(offline, filters) == ["7938.2.a.bj", "9099.2.a.g"]
     assert len(calls) == 1
 
+    # http mode asks upstream again and rewrites the cached list
+    upstream.append({"label": "7938.2.a.bk"})
+    assert query_candidates(src, filters) == ["7938.2.a.bj", "7938.2.a.bk", "9099.2.a.g"]
+    assert len(calls) == 2 and calls[1] == calls[0]
+    assert query_candidates(offline, filters) == ["7938.2.a.bj", "7938.2.a.bk", "9099.2.a.g"]
+    assert len(list((tmp_path / "queries").glob("*.json"))) == 1
+
     query_candidates(src, {"dimension": 2, "cm": True})
-    assert calls[1][1] == {"dim": 2, "_format": "json", "_fields": "label", "is_cm": "true"}
+    assert calls[2][1] == {"dim": 2, "_format": "json", "_fields": "label", "is_cm": "true"}
 
 
 @pytest.mark.parametrize("payload", [{}, {"data": [{"name": "x"}]}, {"data": None}])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hassecheck.ffield import legendre
 from hassecheck.lmfdb import DataSource, fetch_form, list_fixture_labels
 from hassecheck.matgrp import closure, matrix, projectivize
 from hassecheck.nfdata import (
@@ -149,15 +150,23 @@ def test_split_primes_finds_the_roots_in_ascending_order(ell):
             # x = (-m1 + r) / 2 for each square root r of the discriminant
             inv2 = pow(2, -1, ell)
             roots = sorted((-m1 + r) * inv2 % ell for r in range(ell) if r * r % ell == disc)
-            if disc == 0:
+            symbol = legendre(disc, ell)  # the classification by the discriminant
+            if symbol == 0:
                 with pytest.raises(RamifiedPrimeError):
                     split_primes((m0, m1, 1), ell)
                 continue
             maps = split_primes((m0, m1, 1), ell)
-            if not roots:
-                assert maps is None
+            if symbol == -1:
+                assert maps is None and not roots
             else:
-                assert [m.root for m in maps] == roots
+                assert [m.root for m in maps] == roots and len(roots) == 2
+
+
+def test_split_primes_at_2():
+    with pytest.raises(RamifiedPrimeError):
+        split_primes((1, 0, 1), 2)  # x^2 + 1 = (x + 1)^2
+    assert split_primes((1, 1, 1), 2) is None
+    assert [m.root for m in split_primes((0, 1, 1), 2)] == [0, 1]
 
 
 def test_projective_order_depends_only_on_t2_over_d():

@@ -275,19 +275,25 @@ def test_verdict_monotone_under_bound_growth():
 def test_congruence_check():
     f = fetch_form(SRC, "189.2.p.a")
     g = fetch_form(SRC, "189.2.c.a")
-    out = congruence_check(f, f, 7)
-    assert out["congruent"] and out["finite_verification"]
-    out = congruence_check(f, g, 7)
-    assert isinstance(out["congruent"], bool)
-    if not out["congruent"]:
-        assert out["first_violation"] is not None
+    assert congruence_check(f, f, 7) == {
+        "congruent": True, "first_violation": None, "bound": 48, "primes_tested": 13,
+        "finite_verification": True,
+    }
+    assert congruence_check(f, g, 7) == {
+        "congruent": False, "first_violation": 19, "bound": 48, "primes_tested": 6,
+        "finite_verification": True,
+    }
     # the two 9099 rows share their dihedral-ideal reduction
     e = fetch_form(SRC, "9099.2.a.e")
     gg = fetch_form(SRC, "9099.2.a.g")
-    out = congruence_check(e, gg, 7, root_f=4, root_g=4, bound=500)
-    assert out["congruent"]
-    out = congruence_check(e, gg, 7, root_f=3, root_g=3, bound=500)
-    assert not out["congruent"]
+    assert congruence_check(e, gg, 7, root_f=4, root_g=4, bound=500) == {
+        "congruent": True, "first_violation": None, "bound": 500, "primes_tested": 92,
+        "finite_verification": True,
+    }
+    assert congruence_check(e, gg, 7, root_f=3, root_g=3, bound=500) == {
+        "congruent": False, "first_violation": 5, "bound": 500, "primes_tested": 2,
+        "finite_verification": True,
+    }
 
 
 def test_congruence_cm_partner_scan_recorded():
@@ -325,6 +331,19 @@ def test_scan_filters_non_cm():
         "7938.2.a.bj", "7938.2.a.bk", "7938.2.a.bp", "7938.2.a.bq",
         "9099.2.a.e", "9099.2.a.g",
     ]
+
+
+def test_filtered_scan_turns_a_corrupted_record_into_an_error_row(tmp_path):
+    for path in fixture_dir().glob("*.json"):
+        shutil.copy(path, tmp_path)
+    path = tmp_path / "63.2.e.a.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), level=64)))
+    filters = {"dimension": 2, "cm": False}
+    rows = scan(DataSource(mode="fixtures", fixtures=tmp_path), 7, filters=filters, bound=1000)
+    clean = scan(SRC, 7, filters=filters, bound=1000)
+    assert [r for r in rows if r["label"] != "63.2.e.a"] == clean
+    assert {"label": "63.2.e.a", "error": "ValueError: 63.2.e.a: label does not name level 64"} in rows
+    assert len(rows) == len(clean) + 1
 
 
 def test_two_scans_give_equal_rows():
@@ -369,6 +388,8 @@ def test_scan_turns_analysis_failures_into_error_rows(tmp_path):
     corrupt("81.2.c.a", lambda d: d["char"].update(modulus=9))  # 2 generates mod 9 and mod 81
     corrupt("49.2.c.a", lambda d: d.update(ap=[a for a in d["ap"] if a["p"] != 11]))
     corrupt("117.2.q.b", lambda d: d.update(zeta_in_field=[-1, 1]))  # a cube root, not a sixth
+    corrupt("189.2.c.a", lambda d: d.update(weight=4))  # only weight 2 is supported
+    corrupt("189.2.e.b", lambda d: d.update(label="189.4.e.b"))
 
     clean = scan(SRC, 7, level_max=189)
     rows = scan(DataSource(mode="fixtures", fixtures=tmp_path), 7, level_max=189)
@@ -388,6 +409,11 @@ def test_scan_turns_analysis_failures_into_error_rows(tmp_path):
         "117.2.q.b": {
             "label": "117.2.q.b",
             "error": "ValueError: 117.2.q.b: zeta_in_field is not a primitive 6-th root of unity",
+        },
+        "189.2.c.a": {"label": "189.2.c.a", "error": "ValueError: 189.2.c.a: weight 4 is not 2"},
+        "189.2.e.b": {
+            "label": "189.2.e.b",
+            "error": "ValueError: 189.4.e.b: label does not name weight 2",
         },
     }
     assert [r for r in rows if "error" not in r] == [r for r in clean if r["label"] not in errors]
