@@ -28,13 +28,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hassecheck.dchar import UnitGroupBasis
-from hassecheck.ffield import factorize, is_prime
+from hassecheck.ffield import factorize, is_prime, legendre
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "hassecheck" / "fixtures"
 AP_MAX = 1009
@@ -75,11 +76,7 @@ class Ring:
 
     def roots_of_unity(self):
         """List of unit pairs; index = exponent of the canonical generator."""
-        if self.unit_count == 2:
-            return [(1, 0), (-1, 0)]
-        if self.unit_count == 4:
-            return [(1, 0), (0, 1), (-1, 0), (0, -1)]
-        return [self.pow((0, 1), k) for k in range(6)]
+        return {2: [(1, 0), (-1, 0)], 4: I_POWERS, 6: ZETA6_POWERS}[self.unit_count]
 
     @property
     def value_order(self) -> int:
@@ -124,36 +121,34 @@ def split_prime(ring: Ring, p: int):
     return "inert", None
 
 
-_IDEAL_CACHE: dict = {}
+def local_components(ring: Ring, p: int, k: int):
+    """The ideals of norm p^k, each as a list of prime components (pi, e)."""
+    kind, gen = split_prime(ring, p)
+    if kind == "inert":
+        return [] if k % 2 else [[((p, 0), k // 2)]]
+    if kind == "ramified":
+        return [[(gen, k)]]
+    return [[(pi, e) for pi, e in ((gen, a), (ring.conj(gen), k - a)) if e] for a in range(k + 1)]
 
 
+def conductor_component_sets(ring: Ring, norm: int):
+    """All ways to write an ideal of the given norm as prime components.
+
+    The first prime's choice is the outermost loop.
+    """
+    choices = [local_components(ring, p, k) for p, k in factorize(norm).items()]
+    return [[c for local in chosen for c in local] for chosen in product(*choices)]
+
+
+@lru_cache(maxsize=None)
 def ideals_of_norm(ring: Ring, m: int):
     """All ideals of norm m as generators (class number one)."""
-    key = (ring.name, m)
-    if key in _IDEAL_CACHE:
-        return _IDEAL_CACHE[key]
-    if m == 1:
-        return [(1, 0)]
-    p = next(q for q in range(2, m + 1) if m % q == 0 and is_prime(q))
-    k, mm = 0, m
-    while mm % p == 0:
-        mm //= p
-        k += 1
-    kind, gen = split_prime(ring, p)
-    locals_: list = []
-    if kind == "inert":
-        if k % 2 == 0:
-            locals_.append(ring.pow((p, 0), k // 2))
-    elif kind == "ramified":
-        locals_.append(ring.pow(gen, k))
-    else:
-        for a in range(k + 1):
-            locals_.append(ring.mul(ring.pow(gen, a), ring.pow(ring.conj(gen), k - a)))
     out = []
-    for rest in ideals_of_norm(ring, mm):
-        for loc in locals_:
-            out.append(ring.mul(loc, rest))
-    _IDEAL_CACHE[key] = out
+    for components in conductor_component_sets(ring, m):
+        gen = (1, 0)
+        for pi, e in components:
+            gen = ring.mul(gen, ring.pow(pi, e))
+        out.append(gen)
     return out
 
 
@@ -289,19 +284,11 @@ class HeckeChar:
         return True
 
     def conductor_is_exact(self) -> bool:
-        for (pi, k), rr, table in zip(self.components, self.rings, self.tables):
-            if k == 1:
-                if all(v == 0 for v in table.values()):
-                    return False
-                continue
+        """Each component's character is nontrivial on 1 + pi^(k-1) (all units when k = 1)."""
+        for (pi, k), table in zip(self.components, self.tables):
             lower = ResidueRing(self.ring, self.ring.pow(pi, k - 1))
-            kernel_nontrivial = False
-            for u, v in table.items():
-                du = (u[0] - 1, u[1])
-                if lower.reduce(du) == lower.reduce((0, 0)) and v != 0:
-                    kernel_nontrivial = True
-                    break
-            if not kernel_nontrivial:
+            zero = lower.reduce((0, 0))
+            if not any(v and lower.reduce((u[0] - 1, u[1])) == zero for u, v in table.items()):
                 return False
         return True
 
@@ -358,8 +345,7 @@ def kronecker(d: int, n: int) -> int:
         if p == 2:
             s = 1 if d % 8 == 1 else -1
         else:
-            e = pow(d % p, (p - 1) // 2, p)
-            s = 1 if e == 1 else -1
+            s = legendre(d, p)
         result *= s
     return result
 
@@ -383,10 +369,7 @@ def nebentypus_dict(ring: Ring, hecke: HeckeChar, level: int):
         return e
 
     exps = [eps_f_exponent(g) for g in basis.generators]
-    # character order = lcm of value orders
-    order = 1
-    for e in exps:
-        order = math.lcm(order, m // math.gcd(e, m) if e else 1)
+    order = math.lcm(*(m // math.gcd(e, m) for e in exps))  # lcm of value orders
     rescaled = [e * order // m for e in exps]
     char = {
         "modulus": level,
@@ -428,63 +411,43 @@ def euler_phi(n: int) -> int:
 
 
 def trace_of_root(m: int, e: int) -> int:
-    if m == 1:
-        return 1
+    """Trace from Q(zeta_m) to Q of zeta_m^e."""
     d = m // math.gcd(e, m)
     return mobius(d) * (euler_phi(m) // euler_phi(d))
 
 
-def orbit_letter_of(N: int, exps: tuple) -> str:
-    """LMFDB-style orbit label of the character with these basis exponents."""
-    basis = UnitGroupBasis.for_modulus(N)
-    all_exps = []
+def orbit_letter(rec: dict) -> str:
+    """LMFDB-style orbit letter of a built record's nebentypus."""
+    char = rec["char"]
+    n, zo = char["modulus"], char["zeta_order"]
+    basis = UnitGroupBasis.for_modulus(n)
+    orders = basis.orders
 
-    def rec(i, acc):
-        if i == len(basis.orders):
-            all_exps.append(tuple(acc))
-            return
-        for e in range(basis.orders[i]):
-            rec(i + 1, acc + [e])
+    def basis_exponent(e: int, og: int) -> int:
+        # chi(g) = zeta_zo^e = zeta_og^(e * og / zo)
+        assert e * og % zo == 0
+        return e * og // zo % og
 
-    rec(0, [])
-
-    def order_of(ev):
-        o = 1
-        for e, og in zip(ev, basis.orders):
-            o = math.lcm(o, og // math.gcd(e, og) if e else 1)
-        return o
-
+    images = char["generator_images"]
+    exps = tuple(basis_exponent(gi["exponent"], og) for gi, og in zip(images, orders))
     orbits = {}
-    for ev in all_exps:
-        o = order_of(ev)
-        orbit = frozenset(
-            tuple((k * e) % og for e, og in zip(ev, basis.orders))
-            for k in range(1, o + 1)
-            if math.gcd(k, o) == 1
-        )
+    for ev in product(*map(range, orders)):
+        o = math.lcm(*(og // math.gcd(e, og) for e, og in zip(ev, orders)))
+        units = [k for k in range(1, o + 1) if math.gcd(k, o) == 1]
+        orbit = frozenset(tuple(k * e % og for e, og in zip(ev, orders)) for k in units)
         orbits[orbit] = o
 
-    dl = basis.dlog_table
-
     def trace_vector(orbit, o):
-        rep = min(orbit)
-        vec = []
-        for j in range(1, N + 1):
-            if math.gcd(j, N) != 1:
-                vec.append(0)
-                continue
-            x = dl[j % N]
-            num = Fraction(0)
-            for ei, xi, og in zip(rep, x, basis.orders):
-                num += Fraction(ei * xi, og)
-            num -= math.floor(num)
-            k = int(num * o)
-            vec.append(trace_of_root(o, k))
-        return tuple(vec)
+        steps = [e * o // og for e, og in zip(min(orbit), orders)]  # chi(g_i) = zeta_o^step_i
+        return tuple(
+            trace_of_root(o, sum(s * x for s, x in zip(steps, basis.dlog_table[j % n])))
+            if math.gcd(j, n) == 1 else 0
+            for j in range(1, n + 1)
+        )
 
-    keyed = sorted(((orbits[ob], trace_vector(ob, orbits[ob])), ob) for ob in orbits)
+    keyed = sorted(((o, trace_vector(ob, o)), ob) for ob, o in orbits.items())
     for idx, (_, orbit) in enumerate(keyed):
-        if tuple(exps) in orbit:
+        if exps in orbit:
             return cremona_letter(idx)
     raise AssertionError("character not found among orbits")
 
@@ -506,35 +469,17 @@ def cremona_letter(idx0: int) -> str:
 
 def enumerate_hecke_chars(ring: Ring, components):
     """All valid Hecke characters for the given conductor components."""
-    m = ring.value_order
-    tables_per_component = []
+    per_component = []
     for pi, k in components:
         rr = ResidueRing(ring, ring.pow(pi, k))
-        units = rr.units()
-        tables_per_component.append(all_characters(units, rr.mul, rr.reduce((1, 0)), m))
-    out = []
-
-    def rec(i, chosen):
-        if i == len(components):
-            hc = HeckeChar(ring, components, list(chosen))
-            if hc.is_valid_unit_condition() and hc.conductor_is_exact():
-                out.append(hc)
-            return
-        for table in tables_per_component[i]:
-            rec(i + 1, chosen + [table])
-
-    rec(0, [])
-    return out
+        one = rr.reduce((1, 0))
+        per_component.append(all_characters(rr.units(), rr.mul, one, ring.value_order))
+    chars = (HeckeChar(ring, components, list(tables)) for tables in product(*per_component))
+    return [hc for hc in chars if hc.is_valid_unit_condition() and hc.conductor_is_exact()]
 
 
 def cm_record(
-    label: str,
-    ring: Ring,
-    hecke: HeckeChar,
-    biquad: bool,
-    coeff_poly: tuple,
-    inner_twist_count: int = 2,
-    provenance: str = "",
+    label: str, ring: Ring, hecke: HeckeChar, biquad: bool, coeff_poly: tuple, note: str
 ) -> dict:
     level = abs(ring.disc) * hecke.conductor_norm
     char, order = nebentypus_dict(ring, hecke, level)
@@ -554,10 +499,10 @@ def cm_record(
         "ap": ap,
         "cm": True,
         "cm_disc": ring.disc,
-        "inner_twist_count": inner_twist_count,
+        "inner_twist_count": 2,
         "ap_max_prime": AP_MAX,
         "zeta_in_field": list(zeta) if zeta else None,
-        "provenance": provenance or "computed exactly from the CM Hecke character",
+        "provenance": f"computed exactly from the CM Hecke character; {note}",
     }
 
 
@@ -582,190 +527,65 @@ LOW_LEVEL_CONDUCTORS = {
 }
 
 
-def conductor_component_sets(ring: Ring, norm: int):
-    """All ways to write a conductor of the given norm as prime components."""
-    results = []
-
-    def rec(m, acc):
-        if m == 1:
-            results.append(list(acc))
-            return
-        p = next(q for q in range(2, m + 1) if m % q == 0 and is_prime(q))
-        k, mm = 0, m
-        while mm % p == 0:
-            mm //= p
-            k += 1
-        kind, gen = split_prime(ring, p)
-        if kind == "inert":
-            if k % 2:
-                return
-            rec(mm, acc + [((p, 0), k // 2)])
-        elif kind == "ramified":
-            rec(mm, acc + [(gen, k)])
-        else:
-            for a in range(k + 1):
-                comps = []
-                if a:
-                    comps.append((gen, a))
-                if k - a:
-                    comps.append((ring.conj(gen), k - a))
-                rec(mm, acc + comps)
-
-    rec(norm, [])
-    return results
-
-
 def build_low_level_forms():
     """Match each reference prefix against the enumerated Hecke characters."""
     records = {}
     for label, prefix in LOW_LEVEL_PREFIXES.items():
-        level = int(label.split(".")[0])
-        ring, cond_norm, biquad = LOW_LEVEL_CONDUCTORS[level]
-        matches = []
-        for components in conductor_component_sets(ring, cond_norm):
-            for hc in enumerate_hecke_chars(ring, components):
-                ok = True
-                for n, expected in prefix.items():
-                    got = theta_coefficient(ring, hc, n, biquad)
-                    if got != expected:
-                        ok = False
-                        break
-                if ok:
-                    matches.append(hc)
+        ring, cond_norm, biquad = LOW_LEVEL_CONDUCTORS[int(label.split(".")[0])]
+        matches = [
+            hc
+            for components in conductor_component_sets(ring, cond_norm)
+            for hc in enumerate_hecke_chars(ring, components)
+            if all(theta_coefficient(ring, hc, n, biquad) == want for n, want in prefix.items())
+        ]
         assert len(matches) == 1, f"{label}: expected a unique match, got {len(matches)}"
-        rec = cm_record(
-            label,
-            ring,
-            matches[0],
-            biquad,
-            coeff_poly=(1, -1),  # x^2 - x + 1 (zeta6)
-            provenance="computed exactly from the CM Hecke character; "
-            "all displayed reference coefficients verified",
-        )
-        # validate the orbit letter against the label
-        letter = label.split(".")[2]
-        exps = tuple(gi["exponent"] for gi in rec["char"]["generator_images"])
-        # convert to exponents over the generator orders for the letter search
-        basis = UnitGroupBasis.for_modulus(level)
-        zo = rec["char"]["zeta_order"]
-        basis_exps = tuple(
-            _basis_exponent(e, zo, og) for e, og in zip(exps, basis.orders)
-        )
-        got_letter = orbit_letter_of(level, basis_exps)
-        assert got_letter == letter, f"{label}: orbit letter {got_letter} != {letter}"
+        note = "all displayed reference coefficients verified"
+        rec = cm_record(label, ring, matches[0], biquad, (1, -1), note)  # x^2 - x + 1 (zeta6)
+        letter = orbit_letter(rec)
+        assert letter == label.split(".")[2], f"{label}: orbit letter {letter}"
         records[label] = rec
-        print(f"  {label}: matched, nebentypus order {zo}, letter {got_letter}")
+        print(f"  {label}: matched, nebentypus order {rec['char']['zeta_order']}, letter {letter}")
     return records
-
-
-def _basis_exponent(e_zo: int, zo: int, og: int) -> int:
-    """Convert an exponent of zeta_{zo} to an exponent over a C_{og} generator.
-
-    chi(g) = zeta_zo^e = zeta_og^(e * og / zo); requires zo | og * e-compat.
-    """
-    if zo == 1:
-        return 0
-    assert (e_zo * og) % zo == 0
-    return (e_zo * og // zo) % og
 
 
 # ---------------------------------------------------------------------------
 # negative controls (CM constructions with various non-positive outcomes)
 
+CONTROLS = (
+    # (ring, conductor primes as (p, exponent, conjugate ideal?), field poly x^2 + c1 x + c0
+    #  as (c0, c1), level, character values +-1 only, provenance note)
+    (GAUSSIAN, ((5, 1, False),), (1, 0), 20, False, "7 inert in Q(i)"),
+    # pi2^3 on one side only so coefficients leave Q; +-1 values keep them in Z[(1+sqrt-7)/2]
+    (KLEINIAN, ((2, 3, False),), (2, -1), 56, True, "7 ramifies in Q(sqrt-7)"),
+    (EISENSTEIN, ((7, 1, False), (13, 1, False)), (1, -1), 273, False,
+     "squarefree level, twist modulus 1"),
+    # twist candidates exist (modulus 31) but the true self-twist has conductor 3
+    (EISENSTEIN, ((31, 1, False), (31, 1, True)), (1, -1), 2883, False,
+     "self-twist conductor outside the modulus-31 candidates"),
+)
+
 
 def build_controls():
+    """The first valid character per row with an irrational a_p among the first 25 primes."""
     records = {}
-
-    # 7 inert in the coefficient field Q(i): level 20 = 4 * 5
-    ring = GAUSSIAN
-    comps = [(split_prime(ring, 5)[1], 1)]
-    chars = [hc for hc in enumerate_hecke_chars(ring, comps)]
-    assert len(chars) == 1, f"level-20 control: {len(chars)} characters"
-    rec = cm_record("PLACEHOLDER", ring, chars[0], False, coeff_poly=(1, 0))  # x^2 + 1
-    level = rec["level"]
-    assert level == 20
-    exps = tuple(gi["exponent"] for gi in rec["char"]["generator_images"])
-    basis = UnitGroupBasis.for_modulus(level)
-    basis_exps = tuple(
-        _basis_exponent(e, rec["char"]["zeta_order"], og) for e, og in zip(exps, basis.orders)
-    )
-    letter = orbit_letter_of(level, basis_exps)
-    rec["label"] = f"20.2.{letter}.a"
-    rec["provenance"] += "; negative control: 7 inert in Q(i)"
-    records[rec["label"]] = rec
-
-    # 7 ramified in the coefficient field Q(sqrt-7): level 56 = 8 * 7,
-    # conductor pi2^3 on one side only so coefficients leave Q
-    ring = KLEINIAN
-    pi2 = split_prime(ring, 2)[1]
-    chosen = None
-    for hc in enumerate_hecke_chars(ring, [(pi2, 3)]):
-        if any(v not in (0, 3) for table in hc.tables for v in table.values()):
-            continue  # need +-1 values so coefficients stay in Z[(1+sqrt-7)/2]
-        some_irrational = any(
-            theta_ap_samering(ring, hc, p)[1] != 0 for p in PRIMES[:25]
-        )
-        if some_irrational:
-            chosen = hc
-            break
-    assert chosen is not None, "no valid level-56 character"
-    rec = cm_record("PLACEHOLDER", ring, chosen, False, coeff_poly=(2, -1))  # x^2 - x + 2
-    level = rec["level"]
-    assert level == 56, level
-    exps = tuple(gi["exponent"] for gi in rec["char"]["generator_images"])
-    basis = UnitGroupBasis.for_modulus(level)
-    basis_exps = tuple(
-        _basis_exponent(e, rec["char"]["zeta_order"], og) for e, og in zip(exps, basis.orders)
-    )
-    letter = orbit_letter_of(level, basis_exps)
-    rec["label"] = f"56.2.{letter}.a"
-    rec["provenance"] += "; negative control: 7 ramifies in Q(sqrt-7)"
-    records[rec["label"]] = rec
-
-    # squarefree level 273 = 3 * 7 * 13: twist modulus 1, no candidate twists
-    ring = EISENSTEIN
-    pi7 = split_prime(ring, 7)[1]
-    pi13 = split_prime(ring, 13)[1]
-    chosen = None
-    for hc in enumerate_hecke_chars(ring, [(pi7, 1), (pi13, 1)]):
-        if any(theta_ap_samering(ring, hc, p)[1] != 0 for p in PRIMES[:25]):
-            chosen = hc
-            break
-    assert chosen is not None
-    rec = cm_record("PLACEHOLDER", ring, chosen, False, coeff_poly=(1, -1))
-    assert rec["level"] == 273, rec["level"]
-    exps = tuple(gi["exponent"] for gi in rec["char"]["generator_images"])
-    basis = UnitGroupBasis.for_modulus(273)
-    basis_exps = tuple(
-        _basis_exponent(e, rec["char"]["zeta_order"], og) for e, og in zip(exps, basis.orders)
-    )
-    letter = orbit_letter_of(273, basis_exps)
-    rec["label"] = f"273.2.{letter}.a"
-    rec["provenance"] += "; negative control: squarefree level, twist modulus 1"
-    records[rec["label"]] = rec
-
-    # level 2883 = 3 * 31^2: twist candidates exist (modulus 31) but the true
-    # self-twist has conductor 3, which is not among them
-    ring = EISENSTEIN
-    pi31 = split_prime(ring, 31)[1]
-    chosen = None
-    for hc in enumerate_hecke_chars(ring, [(pi31, 1), (ring.conj(pi31), 1)]):
-        if any(theta_ap_samering(ring, hc, p)[1] != 0 for p in PRIMES[:25]):
-            chosen = hc
-            break
-    assert chosen is not None, "no valid level-2883 character"
-    rec = cm_record("PLACEHOLDER", ring, chosen, False, coeff_poly=(1, -1))
-    assert rec["level"] == 2883, rec["level"]
-    exps = tuple(gi["exponent"] for gi in rec["char"]["generator_images"])
-    basis = UnitGroupBasis.for_modulus(2883)
-    basis_exps = tuple(
-        _basis_exponent(e, rec["char"]["zeta_order"], og) for e, og in zip(exps, basis.orders)
-    )
-    letter = orbit_letter_of(2883, basis_exps)
-    rec["label"] = f"2883.2.{letter}.a"
-    rec["provenance"] += "; negative control: self-twist conductor outside the modulus-31 candidates"
-    records[rec["label"]] = rec
-
+    for ring, primes, coeff_poly, level, signs_only, note in CONTROLS:
+        components = []
+        for p, k, conjugate in primes:
+            gen = split_prime(ring, p)[1]
+            components.append((ring.conj(gen) if conjugate else gen, k))
+        chars = enumerate_hecke_chars(ring, components)
+        assert level != 20 or len(chars) == 1, f"level-20 control: {len(chars)} characters"
+        for hc in chars:
+            if signs_only and any(v not in (0, 3) for t in hc.tables for v in t.values()):
+                continue  # a value other than zeta6^0 = 1 or zeta6^3 = -1
+            if any(theta_ap_samering(ring, hc, p)[1] for p in PRIMES[:25]):
+                break
+        else:
+            raise AssertionError(f"no valid level-{level} character")
+        rec = cm_record("", ring, hc, False, coeff_poly, f"negative control: {note}")
+        assert rec["level"] == level, rec["level"]
+        rec["label"] = f"{level}.2.{orbit_letter(rec)}.a"
+        records[rec["label"]] = rec
     return records
 
 
@@ -793,154 +613,83 @@ def elliptic_traces(a: int, b: int) -> dict:
     return out
 
 
-class KleinianThetaMod7:
-    """Dihedral-by-construction mod-7 trace function for conductor 9*sqrt(-7).
+def theta_mod7(rr: ResidueRing, w: int, power: int, table):
+    """theta((alpha)) = (alpha mod the prime above 7)^power * 3^T(alpha mod rr) in F_7.
 
-    theta((alpha)) = (alpha mod sqrt-7)^4 * T(alpha mod 9) with T a mu_6
-    character of (O/9)^x trivial on rational residues; trace at split p is
-    theta(pi) + theta(pi-bar), at inert p it is 0.
+    w is the image of the ring generator g modulo the prime above 7, and T
+    the character table of (O/rr)^x with mu_6 exponents.
     """
 
-    def __init__(self, want_t11: int):
-        ring = KLEINIAN
-        self.ring = ring
-        self.rr9 = ResidueRing(ring, (9, 0))
-        units9 = self.rr9.units()
-        one9 = self.rr9.reduce((1, 0))
-        candidates = []
-        for table in all_characters(units9, self.rr9.mul, one9, 6):
-            if any(table[self.rr9.reduce((n, 0))] for n in range(1, 9) if math.gcd(n, 3) == 1):
-                continue  # must be trivial on rational residues
-            if all(v == 0 for v in table.values()):
-                continue
-            theta = self._mk_theta(table)
-            orders = self._ratio_orders(theta)
-            if math.lcm(*orders) != 3:
-                continue
-            if self.trace_with(theta, 11) == want_t11:
-                candidates.append(table)
-        assert candidates, "no dihedral character with the pinned trace at 11"
-        self.table = candidates[0]
-        self.theta = self._mk_theta(self.table)
+    def theta(alpha):
+        r7 = (alpha[0] + w * alpha[1]) % 7
+        assert r7 != 0
+        return pow(r7, power, 7) * pow(3, table[rr.reduce(alpha)], 7) % 7
 
-    def _mk_theta(self, table):
-        ring, rr9 = self.ring, self.rr9
-
-        def theta(alpha):
-            x, y = alpha
-            r7 = (x + 4 * y) % 7  # w = (1 + sqrt-7)/2 = 4 mod sqrt-7
-            assert r7 % 7 != 0
-            e = table[rr9.reduce(alpha)]
-            return pow(r7, 4, 7) * pow(3, e, 7) % 7
-
-        return theta
-
-    def _ratio_orders(self, theta):
-        orders = set()
-        for p in PRIMES[:60]:
-            if p in (2, 3, 7):
-                continue
-            kind, gen = split_prime(self.ring, p)
-            if kind != "split":
-                continue
-            ratio = theta(self.ring.conj(gen)) * pow(theta(gen), -1, 7) % 7
-            o = 1
-            x = ratio
-            while x != 1:
-                x = x * ratio % 7
-                o += 1
-            orders.add(o)
-        return orders
-
-    def trace_with(self, theta, p: int) -> int:
-        kind, gen = split_prime(self.ring, p)
-        if kind == "inert":
-            return 0
-        if kind == "ramified":
-            return 0  # ramified prime divides the conductor here
-        return (theta(gen) + theta(self.ring.conj(gen))) % 7
-
-    def trace(self, p: int) -> int:
-        return self.trace_with(self.theta, p)
+    return theta
 
 
-class EisensteinThetaMod7:
-    """Dihedral-by-construction mod-7 traces for conductor p3^2 * pi7.
+def ratio_orders(ring: Ring, theta, skip) -> set:
+    """Orders of theta(pi-bar) / theta(pi) in F_7^x at split p among the first 60 primes.
+
+    The primes in skip are left out.
+    """
+    orders = set()
+    for p in PRIMES[:60]:
+        if p in skip:
+            continue
+        kind, gen = split_prime(ring, p)
+        if kind == "split":
+            ratio = theta(ring.conj(gen)) * pow(theta(gen), -1, 7) % 7
+            orders.add(next(o for o in range(1, 7) if pow(ratio, o, 7) == 1))
+    return orders
+
+
+def split_trace(ring: Ring, theta, p: int) -> int:
+    """theta(pi) + theta(pi-bar) mod 7 at split p; 0 at inert and ramified p."""
+    kind, gen = split_prime(ring, p)
+    return (theta(gen) + theta(ring.conj(gen))) % 7 if kind == "split" else 0
+
+
+def kleinian_theta(want_t11: int):
+    """Dihedral-by-construction mod-7 theta for conductor 9*sqrt(-7).
+
+    theta((alpha)) = (alpha mod sqrt-7)^4 * T(alpha mod 9) with T a mu_6
+    character of (O/9)^x trivial on rational residues, ratio order 3, and
+    the trace want_t11 at 11.
+    """
+    rr9 = ResidueRing(KLEINIAN, (9, 0))
+    rational = [rr9.reduce((n, 0)) for n in range(1, 9) if n % 3]
+    for table in all_characters(rr9.units(), rr9.mul, rr9.reduce((1, 0)), 6):
+        if any(table[r] for r in rational) or not any(table.values()):
+            continue
+        theta = theta_mod7(rr9, 4, 4, table)  # w = (1 + sqrt-7)/2 = 4 mod sqrt-7
+        if math.lcm(*ratio_orders(KLEINIAN, theta, {2, 3, 7})) != 3:
+            continue
+        if split_trace(KLEINIAN, theta, 11) == want_t11:
+            return theta
+    raise AssertionError("no dihedral character with the pinned trace at 11")
+
+
+def eisenstein_theta():
+    """Dihedral-by-construction mod-7 theta for conductor p3^2 * pi7.
 
     theta((alpha)) = (alpha mod pi7) * T(alpha mod 3) with T the faithful
     character of (O/3)^x forced by the unit condition; ratio order 6.
     """
-
-    def __init__(self):
-        ring = EISENSTEIN
-        self.ring = ring
-        self.rr3 = ResidueRing(ring, (3, 0))
-        units3 = self.rr3.units()
-        one3 = self.rr3.reduce((1, 0))
-        chosen = []
-        for table in all_characters(units3, self.rr3.mul, one3, 6):
-            theta = self._mk_theta(table)
-            ok = True
-            for u in ring.roots_of_unity():
-                if theta(u) != 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # conductor exactness at p3^2: nontrivial on 1 + p3
-            if all(
-                table[u] == 0
-                for u in self.rr3.units()
-                if self._is_one_mod_p3(u)
-            ):
-                continue
-            orders = self._ratio_orders(theta)
-            if math.lcm(*orders) != 6:
-                continue
-            chosen.append(table)
-        assert chosen, "no valid order-6 character at (3)"
-        self.table = chosen[0]
-        self.theta = self._mk_theta(self.table)
-
-    def _is_one_mod_p3(self, u) -> bool:
-        # p3 = (-1 + 2 zeta6); u = 1 mod p3 iff norm(u - 1) divisible by 3
-        du = (u[0] - 1, u[1])
-        return self.ring.norm(du) % 3 == 0
-
-    def _mk_theta(self, table):
-        ring, rr3 = self.ring, self.rr3
-
-        def theta(alpha):
-            x, y = alpha
-            r7 = (x + 3 * y) % 7  # zeta6 = 3 mod pi7 = (1 + 2 zeta6)
-            assert r7 != 0
-            e = table[rr3.reduce(alpha)]
-            return r7 * pow(3, e, 7) % 7
-
-        return theta
-
-    def _ratio_orders(self, theta):
-        orders = set()
-        for p in PRIMES[:60]:
-            if p in (3, 7, 337):
-                continue
-            kind, gen = split_prime(self.ring, p)
-            if kind != "split":
-                continue
-            ratio = theta(self.ring.conj(gen)) * pow(theta(gen), -1, 7) % 7
-            o = 1
-            x = ratio
-            while x != 1:
-                x = x * ratio % 7
-                o += 1
-            orders.add(o)
-        return orders
-
-    def trace(self, p: int) -> int:
-        kind, gen = split_prime(self.ring, p)
-        if kind != "split":
-            return 0
-        return (self.theta(gen) + self.theta(self.ring.conj(gen))) % 7
+    ring = EISENSTEIN
+    rr3 = ResidueRing(ring, (3, 0))
+    units3 = rr3.units()
+    # p3 = (-1 + 2 zeta6); u = 1 mod p3 iff norm(u - 1) divisible by 3
+    one_mod_p3 = [u for u in units3 if ring.norm((u[0] - 1, u[1])) % 3 == 0]
+    for table in all_characters(units3, rr3.mul, rr3.reduce((1, 0)), 6):
+        theta = theta_mod7(rr3, 3, 1, table)  # zeta6 = 3 mod pi7 = (1 + 2 zeta6)
+        if any(theta(u) != 1 for u in ring.roots_of_unity()):
+            continue
+        if not any(table[u] for u in one_mod_p3):
+            continue  # conductor exactness at p3^2: nontrivial on 1 + p3
+        if math.lcm(*ratio_orders(ring, theta, {3, 7, 337})) == 6:
+            return theta
+    raise AssertionError("no valid order-6 character at (3)")
 
 
 def weil_lift(t3: int, t4: int, p: int):
@@ -979,26 +728,20 @@ SIMPLE_FORMS = {
 
 def build_simple_forms():
     records = {}
-    theta_k3 = KleinianThetaMod7(want_t11=2)  # matches a_11 = 3*sqrt2 at root 3
-    theta_e = EisensteinThetaMod7()
+    thetas = {
+        7938: (KLEINIAN, kleinian_theta(want_t11=2)),  # matches a_11 = 3*sqrt2 at root 3
+        9099: (EISENSTEIN, eisenstein_theta()),
+    }
     for label, (level, droot, pinned, curve, bad) in SIMPLE_FORMS.items():
         groot = 7 - droot  # the other root of x^2 - 2 mod 7 (3 <-> 4)
-        theta = theta_k3 if level == 7938 else theta_e
         seeds = elliptic_traces(*curve)
-        ap = {}
+        ap = {**pinned, **bad}
         for p in PRIMES:
-            if p in bad:
-                ap[p] = bad[p]
+            if p in ap:
                 continue
-            if p in pinned:
-                ap[p] = pinned[p]
-                continue
-            td = theta.trace(p)
-            tg = seeds[p] % 7
-            lift = None
+            td = split_trace(*thetas[level], p)
             for shift in range(7):
-                tg_try = (tg + shift) % 7
-                pair = {droot: td, groot: tg_try}
+                pair = {droot: td, groot: (seeds[p] + shift) % 7}
                 lift = weil_lift(pair[3], pair[4], p)
                 if lift is not None:
                     break

@@ -242,6 +242,8 @@ def translate_newform(payload: dict, label: str, bound: int, source: DataSource)
             for p, c in zip(primes, ap_rows)
             if p <= bound
         ]
+        received = primes[: len(ap_rows)]  # a short list covers only its own primes
+        covered = maxp if received == primes else max(received, default=1)
         return {
             "label": label,
             "level": level,
@@ -252,7 +254,7 @@ def translate_newform(payload: dict, label: str, bound: int, source: DataSource)
             "cm": bool(row.get("is_cm")),
             "cm_disc": row.get("cm_disc"),
             "inner_twist_count": int(row.get("inner_twist_count", 1)),
-            "ap_max_prime": min(maxp, bound if bound else maxp),
+            "ap_max_prime": min(covered, bound if bound else covered),
             "zeta_in_field": row.get("zeta_in_field"),
             "provenance": "fetched",
         }

@@ -426,15 +426,15 @@ def scan(
     Forms are restricted to those whose coefficient field splits at ell
     (matching the scan this tool reproduces); non-split forms and per-form
     failures become rows with a skip/error marker rather than aborting.
-    Explicit labels are scanned as given.  In fixtures mode the filters are
-    applied to each record as it is loaded, so a record that fails to load
-    is an error row; the other modes ask query_candidates for the labels.
+    Every loaded record must pass the filters and level_max, explicit labels
+    included, and a record that fails to load is an error row.  Without
+    explicit labels, fixtures mode lists every fixture; the other modes ask
+    query_candidates for the labels when there are filters.
     """
-    select = None  # filters applied to each loaded record
     if labels is None and filters and source.mode != "fixtures":
         labels = query_candidates(source, filters)
     elif labels is None:
-        labels, select = list_fixture_labels(source), filters
+        labels = list_fixture_labels(source)
     rows: list[dict] = []
     for label in sorted(labels):
         try:
@@ -444,7 +444,7 @@ def scan(
             continue
         if level_max is not None and record.level > level_max:
             continue
-        if select and not matches(record, select):
+        if filters and not matches(record, filters):
             continue
         rows.append(_scan_one(record, ell, bound))
     rows.sort(key=lambda r: _label_sort_key(r["label"]))

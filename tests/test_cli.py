@@ -332,6 +332,17 @@ def test_scan_filters_select_the_non_cm_rows_of_the_golden_scan(capsys):
     assert [row["label"] for row in doc["rows"]] == labels
 
 
+def test_scan_filters_apply_to_explicit_labels(capsys):
+    # 63.2.e.a has CM, so --no-cm leaves only the 9099.2.a.e row
+    rc, out, _ = run(capsys, [
+        "scan", "--ell", "7", "--labels", "63.2.e.a", "9099.2.a.e", "--no-cm",
+        "--bound", "1000", "--source", "fixtures", "--format", "json",
+    ])
+    assert rc == EX_OK
+    golden = json.loads((GOLDEN / "scan_ell7_b1000.json").read_text())
+    assert json.loads(out)["rows"] == [row for row in golden if row["label"] == "9099.2.a.e"]
+
+
 def test_fetch_one_label_from_fixtures(capsys):
     rc, out, _ = run(capsys, ["fetch", "--source", "fixtures", "--label", "189.2.p.a"])
     assert rc == EX_OK

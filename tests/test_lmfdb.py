@@ -57,6 +57,24 @@ def test_generator_rebuilds_the_committed_fixtures(monkeypatch):
         assert text.encode() == committed[label], label
 
 
+def test_generator_lists_each_ideal_of_norm_below_500_once(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "make_fixtures", module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    for ring in (module.EISENSTEIN, module.KLEINIAN, module.GAUSSIAN):
+        units = ring.roots_of_unity()
+        for m in range(1, 500):
+            gens = module.ideals_of_norm(ring, m)
+            # ideals of norm m in a class-number-one ring: sum of chi_disc(d) over d | m
+            count = sum(module.kronecker(ring.disc, d) for d in range(1, m + 1) if m % d == 0)
+            assert len(gens) == count, (ring.name, m)
+            assert all(ring.norm(g) == m for g in gens), (ring.name, m)
+            ideals = {frozenset(ring.mul(u, g) for u in units) for g in gens}  # associate classes
+            assert len(ideals) == len(gens), (ring.name, m)
+
+
 def test_fetch_form_fixture():
     rec = fetch_form(fixtures_source(), "189.2.p.a")
     assert rec.level == 189
@@ -202,6 +220,17 @@ def test_fetch_below_the_requested_bound_is_partial_data(tmp_path):
     assert exc.value.achieved == 100
     assert "wanted 200" in str(exc.value)
     assert not (tmp_path / "forms" / "189.2.p.a.json").exists()  # nothing partial is cached
+
+
+def test_short_upstream_ap_list_is_partial_data(tmp_path):
+    record = fetch_form(fixtures_source(), "189.2.p.a")
+    newform, hecke = _upstream_payloads(record, 100)
+    del hecke["data"][0]["ap"][10:]  # a_p for the first ten primes only, up to 29
+    with pytest.raises(PartialDataError) as exc:
+        fetch_form(_http_source(tmp_path, newform, hecke), "189.2.p.a", bound=100)
+    assert exc.value.achieved == 29
+    assert "wanted 100" in str(exc.value)
+    assert not (tmp_path / "forms" / "189.2.p.a.json").exists()
 
 
 def test_query_candidates_over_http_then_from_the_query_cache(tmp_path):
