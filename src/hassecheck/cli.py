@@ -9,6 +9,7 @@ so identical inputs give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -84,6 +85,7 @@ def _config(args, **extra) -> dict:
     return cfg
 
 
+@functools.cache  # built once per process; each parse_args returns a fresh namespace
 def build_parser() -> _Parser:
     p = _Parser(prog="hassecheck", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -264,8 +266,10 @@ def _cmd_fetch(args) -> int:
         filters["inner_twist_count"] = args.inner_twist_count
     if args.level_range:
         filters["level_range"] = list(args.level_range)
-    labels = query_candidates(source, filters)
-    print(canonical_json({"config": _config(args, filters=filters), "labels": labels}), end="")
+    errors = []  # fixtures that failed to load, as {label, error}
+    labels = query_candidates(source, filters, errors)
+    doc = {"config": _config(args, filters=filters), "labels": labels, "errors": errors}
+    print(canonical_json(doc), end="")
     return EX_OK
 
 

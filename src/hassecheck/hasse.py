@@ -53,7 +53,9 @@ def is_hasse(group: ProjGroup) -> HasseResult:
     reported as the lexicographically least candidates so output is stable.
     Every element's characteristic polynomial is computed; an element fixes
     a point exactly when that polynomial has a root in F_p, so the roots are
-    searched once per distinct polynomial.
+    searched once per distinct polynomial.  The elements are walked once, so
+    a block sum's classes are tested as they are joined; the least violator
+    does not depend on the order of the walk.
     """
     dim, p = group.dim, group.modulus
     rootful = {}  # charpoly -> has a root in F_p
@@ -268,7 +270,9 @@ def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
     G2.  The one-way contract is what a subdirect image H < G1 x G2 can
     still rely on.
     The block group is built first, so its checks on the factors (dim 2,
-    one modulus, the size cap) run before any Hasse test.
+    one modulus, the size cap) run before any Hasse test.  Its classes are
+    streamed into the brute force as they are joined: the memory it takes
+    is the G2 halves scaled once per leading alpha, not G1 + G2.
     """
     block = block_diagonal(g1, g2)
     h1, h2 = projectivize(g1), projectivize(g2)

@@ -138,19 +138,26 @@ def fetch_form(source: DataSource, label: str, bound: int | None = None) -> Newf
     return rec
 
 
-def query_candidates(source: DataSource, filters: dict) -> list[str]:
+def query_candidates(source: DataSource, filters: dict, errors: list | None = None) -> list[str]:
     """Sorted labels matching the scan filters; cached by filter string.
 
     Canonical filters: dimension (always 2 here), cm (bool), inner_twist_count,
     level_range = [lo, hi] (optional).  http mode always queries upstream and
-    rewrites the cached list; cache_only mode reads it.
+    rewrites the cached list; cache_only mode reads it.  fixtures mode skips
+    a record that fails to load, and appends {label, error} for it to
+    `errors` when given, as `scan` makes an error row of it.
     """
     key = json.dumps(filters, sort_keys=True, separators=(",", ":"))
 
     if source.mode == "fixtures":
         labels = []
         for path in sorted(Path(source.fixtures).glob("*.json")):
-            rec = _load_record(path)
+            try:
+                rec = _load_record(path)
+            except Exception as exc:  # noqa: BLE001 - one bad record must not abort the listing
+                if errors is not None:
+                    errors.append({"label": path.stem, "error": f"{type(exc).__name__}: {exc}"})
+                continue
             if not matches(rec, filters):
                 continue
             labels.append(rec.label)

@@ -7,9 +7,10 @@ files, and validates it.  Group closures are
 plain breadth-first products, capped hard: the groups of interest here are
 tiny and hitting the cap signals misuse, not a need for a bigger budget.
 A projective group holds one canonical representative per scalar class.
-The block sum G1 + G2 of two dim-2 groups is built straight into PGL_4 by
-`block_diagonal`, from the factors' elements, without a dim-4 matrix group
-and with each scalar class built once.
+The block sum G1 + G2 of two dim-2 groups is streamed straight into PGL_4
+by `block_diagonal`, from the factors' elements, without a dim-4 matrix
+group and with each scalar class joined once per pass: its classes are
+never held together, only the G2 halves scaled once per leading alpha.
 """
 
 from __future__ import annotations
@@ -241,12 +242,16 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
 
 @dataclass(frozen=True)
 class ProjGroup:
-    """Scalar classes of a MatrixGroup, each as its canonical representative."""
+    """Scalar classes of a MatrixGroup, each as its canonical representative.
+
+    `elements` is a frozenset, or for a block sum the re-iterable, sized
+    `BlockClasses` stream.
+    """
 
     generators: tuple  # canonical tuples
     dim: int
     modulus: int
-    elements: frozenset  # canonical tuples
+    elements: frozenset | BlockClasses  # canonical tuples
 
     def order(self) -> int:
         return len(self.elements)
@@ -383,21 +388,68 @@ def fixed_points_scan(m: Matrix) -> set[tuple]:
 # constructors
 
 
-def block_diagonal(g1: MatrixGroup, g2: MatrixGroup) -> ProjGroup:
-    """Projective image in PGL_4 of the direct sum of two dim-2 groups.
+def _top(a: tuple) -> tuple:
+    """The first two rows of the block sum of a 2x2 matrix a with the zero matrix."""
+    return (a[0], a[1], 0, 0, a[2], a[3], 0, 0)
+
+
+def _bottom(b) -> tuple:
+    """The last two rows of the block sum of the zero matrix with a 2x2 matrix b."""
+    return (0, 0, b[0], b[1], 0, 0, b[2], b[3])
+
+
+class BlockClasses:
+    """The scalar classes of G1 + G2 in PGL_4, joined afresh on every pass.
 
     For a in G1 with first nonzero entry alpha, alpha^-1 a + alpha^-1 b is
     the canonical representative of the class of a + b: its first nonzero
     entry is the 1 in the a block.  So each element is the top half of
     alpha^-1 a joined to the bottom half of alpha^-1 b, with the b halves
-    scaled once per alpha, and only the generators g + I and I + g are
-    canonicalised.
+    scaled once per alpha.
 
     a + b and s*a + s*b are one class for s in S = {s : s*I in G1 and G2},
     and S acts freely on G1 x G2 with the classes as orbits.  The scalings
     s*a of one a have distinct alphas s*alpha, so taking the a whose alpha
-    is the least of its coset alpha*S builds each class once: |G1||G2|/|S|
-    joins.
+    is the least of its coset alpha*S builds each class once: a pass makes
+    |G1||G2|/|S| joins, the length.  Only the factors' elements are held,
+    and a pass holds the G2 halves scaled once per leading alpha, never
+    G1 + G2.
+    """
+
+    def __init__(self, g1: MatrixGroup, g2: MatrixGroup):
+        p = g1.modulus
+        common = [s for s in range(1, p) if (s, 0, 0, s) in g1.elements and (s, 0, 0, s) in g2.elements]
+        # the least alpha of each coset alpha*S
+        self._leading = {min(s * alpha % p for s in common) for alpha in range(1, p)}
+        self._g1, self._g2, self._p = g1.elements, g2.elements, p
+        self._order = g1.order() * g2.order() // len(common)
+
+    def __len__(self):
+        return self._order
+
+    def __iter__(self):
+        p, leading, g2 = self._p, self._leading, self._g2
+        bottoms = {}  # alpha -> bottom halves of alpha^-1 G2
+
+        def classes():
+            for a in self._g1:
+                alpha = a[0] or a[1]  # a is invertible, so its first row is not zero
+                if alpha not in leading:
+                    continue
+                inv = pow(alpha, -1, p)
+                if alpha not in bottoms:
+                    bottoms[alpha] = [_bottom([x * inv % p for x in b]) for b in g2]
+                yield map(_top([x * inv % p for x in a]).__add__, bottoms[alpha])
+
+        return chain.from_iterable(classes())
+
+
+def block_diagonal(g1: MatrixGroup, g2: MatrixGroup) -> ProjGroup:
+    """Projective image in PGL_4 of the direct sum of two dim-2 groups, streamed.
+
+    The checks on the factors run here, and only the generators g + I and
+    I + g are canonicalised; the classes are joined on each pass over
+    `elements`, a `BlockClasses`, and are never held together.
     """
     if g1.modulus != g2.modulus:
         raise ValueError("groups must share the modulus")
@@ -406,31 +458,10 @@ def block_diagonal(g1: MatrixGroup, g2: MatrixGroup) -> ProjGroup:
     if g1.order() * g2.order() > DEFAULT_CAP:
         raise ClosureCapError(DEFAULT_CAP)
     p = g1.modulus
-
-    def top(a):
-        return (a[0], a[1], 0, 0, a[2], a[3], 0, 0)
-
-    def bottom(b):
-        return (0, 0, b[0], b[1], 0, 0, b[2], b[3])
-
     ident = mat_identity(2)
-    gens = [proj_canonical(top(g.entries) + bottom(ident), p) for g in g1.generators]
-    gens += [proj_canonical(top(ident) + bottom(g.entries), p) for g in g2.generators]
-    common = [s for s in range(1, p) if (s, 0, 0, s) in g1.elements and (s, 0, 0, s) in g2.elements]
-    leading = {min(s * alpha % p for s in common) for alpha in range(1, p)}  # the least of each coset
-    bottoms = {}  # alpha -> bottom halves of alpha^-1 G2
-
-    def classes():
-        for a in g1.elements:
-            alpha = a[0] or a[1]  # a is invertible, so its first row is not zero
-            if alpha not in leading:
-                continue
-            inv = pow(alpha, -1, p)
-            if alpha not in bottoms:
-                bottoms[alpha] = [bottom([x * inv % p for x in b]) for b in g2.elements]
-            yield map(top([x * inv % p for x in a]).__add__, bottoms[alpha])
-
-    return ProjGroup(tuple(dict.fromkeys(gens)), 4, p, frozenset(chain.from_iterable(classes())))
+    gens = [proj_canonical(_top(g.entries) + _bottom(ident), p) for g in g1.generators]
+    gens += [proj_canonical(_top(ident) + _bottom(g.entries), p) for g in g2.generators]
+    return ProjGroup(tuple(dict.fromkeys(gens)), 4, p, BlockClasses(g1, g2))
 
 
 def standard_constructors(kind: str, p: int) -> MatrixGroup:

@@ -199,7 +199,9 @@ def test_block_diagonal_matches_the_matrix_group_oracle(catalogue):
     pairs += [pair for h, g in catalogue for pair in ((h, g), (g, h))]
     for g1, g2 in pairs:
         built, oracle = block_diagonal(g1, g2), block_group_oracle(g1, g2)
-        assert built.elements == oracle.elements, (g1.order(), g2.order())
+        streamed = list(built.elements)
+        assert len(streamed) == len(set(streamed)) == built.order(), (g1.order(), g2.order())
+        assert set(streamed) == oracle.elements, (g1.order(), g2.order())
         assert built.generators == oracle.generators, (g1.order(), g2.order())
         assert (built.dim, built.modulus) == (4, g1.modulus)
 

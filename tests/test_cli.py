@@ -1,6 +1,7 @@
 """CLI surface: exit codes, canonical output, command behaviour."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -194,6 +195,36 @@ def test_verify_lemma31_cli(tmp_path, capsys):
     assert doc["contract_holds"] is True
 
 
+def test_commands_in_one_process_behave_as_in_fresh_ones(tmp_path, capsys):
+    # the parser is built once per process: a success, a usage error and a
+    # different command after them each match a fresh interpreter's run
+    g = closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7)])
+    g2 = closure([matrix([[0, -3], [1, 1]], 7)])
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    p1.write_text(g.to_json())
+    p2.write_text(g2.to_json())
+    commands = [
+        ["verify-lemma31", "--g", str(p1), "--g2", str(p2)],
+        ["verify-lemma31", "--g", str(p1)],
+        ["scan", "--ell", "7", "--source", "fixtures", "--bound", "1000", "--format", "json",
+         "--labels", "189.2.p.a"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    results = []
+    for argv in commands:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "hassecheck.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert (rc, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        results.append(rc)
+    assert results == [EX_OK, EX_USAGE, EX_OK]
+
+
 @pytest.mark.parametrize(
     "second, message",
     [
@@ -314,8 +345,9 @@ def test_fetch_lists_candidates_from_fixtures(capsys):
         "fetch", "--source", "fixtures", "--cm", "false", "--inner-twist-count", "1",
     ])
     assert rc == EX_OK
-    labels = json.loads(out)["labels"]
-    assert "7938.2.a.bj" in labels and len(labels) == 6
+    doc = json.loads(out)
+    assert "7938.2.a.bj" in doc["labels"] and len(doc["labels"]) == 6
+    assert doc["errors"] == []  # no committed fixture fails to load
 
 
 def test_scan_filters_select_the_non_cm_rows_of_the_golden_scan(capsys):

@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,28 @@ def test_lemma31_examples():
     # a Hasse factor does not help against a factor with a global fixed point
     out = lemma31_check(g, borel)
     assert not out["predicted"] and not out["brute_force"].is_hasse
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_lemma31_check_never_holds_the_block_sum():
+    # the brute force consumes the classes as they are joined, so its peak
+    # stays far below the set of all 12,096 classes of D6xZ_7 + GL2(F_7)
+    d6z = closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7), matrix([[3, 0], [0, 3]], 7)])
+    gl2 = standard_constructors("gl2", 7)
+    block = block_diagonal(d6z, gl2)
+    held, classes = _traced_peak(lambda: frozenset(block.elements))
+    assert len(classes) == block.order() == 36 * 2016 // 6
+    peak, out = _traced_peak(lambda: lemma31_check(d6z, gl2))
+    assert out["predicted"] and out["brute_force"].is_hasse
+    assert peak < held / 4, (peak, held)
 
 
 def test_enumerate_pgl2_f2():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -41,14 +42,22 @@ def test_fixture_corpus_contents():
     assert len(labels) >= 18
 
 
-def test_generator_rebuilds_the_committed_fixtures(monkeypatch):
+@pytest.fixture
+def make_fixtures(monkeypatch):
+    """scripts/make_fixtures.py, loaded as a module."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
     spec = importlib.util.spec_from_file_location("make_fixtures", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "make_fixtures", module)  # its dataclasses look it up
     spec.loader.exec_module(module)
+    return module
+
+
+def test_generator_rebuilds_the_committed_fixtures(make_fixtures):
     records = {}
-    for build in (module.build_low_level_forms, module.build_controls, module.build_simple_forms):
+    for build in (
+        make_fixtures.build_low_level_forms, make_fixtures.build_controls, make_fixtures.build_simple_forms
+    ):
         records.update(build())
     committed = {p.stem: p.read_bytes() for p in fixture_dir().glob("*.json")}
     assert sorted(records) == sorted(committed)
@@ -57,18 +66,13 @@ def test_generator_rebuilds_the_committed_fixtures(monkeypatch):
         assert text.encode() == committed[label], label
 
 
-def test_generator_lists_each_ideal_of_norm_below_500_once(monkeypatch):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
-    spec = importlib.util.spec_from_file_location("make_fixtures", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "make_fixtures", module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    for ring in (module.EISENSTEIN, module.KLEINIAN, module.GAUSSIAN):
+def test_generator_lists_each_ideal_of_norm_below_500_once(make_fixtures):
+    for ring in (make_fixtures.EISENSTEIN, make_fixtures.KLEINIAN, make_fixtures.GAUSSIAN):
         units = ring.roots_of_unity()
         for m in range(1, 500):
-            gens = module.ideals_of_norm(ring, m)
+            gens = make_fixtures.ideals_of_norm(ring, m)
             # ideals of norm m in a class-number-one ring: sum of chi_disc(d) over d | m
-            count = sum(module.kronecker(ring.disc, d) for d in range(1, m + 1) if m % d == 0)
+            count = sum(make_fixtures.kronecker(ring.disc, d) for d in range(1, m + 1) if m % d == 0)
             assert len(gens) == count, (ring.name, m)
             assert all(ring.norm(g) == m for g in gens), (ring.name, m)
             ideals = {frozenset(ring.mul(u, g) for u in units) for g in gens}  # associate classes
@@ -137,6 +141,19 @@ def test_query_candidates_reference_filters():
         {"dimension": 2, "cm": False, "inner_twist_count": 1, "level_range": [7938, 7938]},
     )
     assert "7938.2.a.bj" in ranged and "9099.2.a.e" not in ranged
+
+
+def test_query_candidates_skips_and_reports_a_record_that_fails_to_load(tmp_path):
+    for path in fixture_dir().glob("*.json"):
+        shutil.copy(path, tmp_path)
+    path = tmp_path / "63.2.e.a.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), level=64)))
+    filters = {"dimension": 2, "cm": False}
+    errors = []
+    labels = query_candidates(fixtures_source(fixtures=tmp_path), filters, errors)
+    clean = query_candidates(fixtures_source(), filters)
+    assert labels == [label for label in clean if label != "63.2.e.a"]
+    assert errors == [{"label": "63.2.e.a", "error": "ValueError: 63.2.e.a: label does not name level 64"}]
 
 
 def test_query_candidates_empty_filters():
