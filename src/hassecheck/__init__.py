@@ -4,26 +4,10 @@ Two halves: exact finite-group machinery (is a projective matrix group
 "Hasse": every element fixes a point, no common fixed point), and a newform
 pipeline that classifies mod-l projective images from Fourier coefficient
 data and decides the block-sum sufficiency conditions for abelian surfaces.
+
+The package root exports ``__version__`` only; import everything else from
+its module (``hassecheck.hasse.is_hasse``, ``hassecheck.pipeline.scan``), so
+a group command never loads the newform half.
 """
 
 __version__ = "0.1.0"
-
-from .hasse import HasseResult, classify_pgl2, enumerate_subgroups, is_hasse, lemma31_check
-from .matgrp import MatrixGroup, closure, matrix, projectivize, standard_constructors
-from .pipeline import congruence_check, hasse_verdict, scan
-
-__all__ = [
-    "HasseResult",
-    "MatrixGroup",
-    "classify_pgl2",
-    "closure",
-    "congruence_check",
-    "enumerate_subgroups",
-    "hasse_verdict",
-    "is_hasse",
-    "lemma31_check",
-    "matrix",
-    "projectivize",
-    "scan",
-    "standard_constructors",
-]

@@ -17,15 +17,10 @@ import sys
 from . import __version__
 from .ffield import is_prime
 from .hasse import classify_pgl2, enumerate_subgroups, is_hasse, lemma31_check
-from .lmfdb import DataSource, fetch_form, query_candidates
 from .matgrp import MatrixGroup, projectivize, standard_constructors
-from .pipeline import (
-    congruence_check,
-    hasse_verdict,
-    rows_to_table,
-    scan,
-)
-from .refdata import reference_discrepancies
+
+# The newform handlers import lmfdb, pipeline and refdata where they run, so
+# the group commands never load the newform half.
 
 EX_OK, EX_OPERATIONAL, EX_USAGE = 0, 2, 64
 
@@ -68,7 +63,9 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str) + "\n"
 
 
-def _source(args) -> DataSource:
+def _source(args):
+    from .lmfdb import DataSource
+
     return DataSource(mode=args.source, cache_dir=args.cache_dir)
 
 
@@ -200,6 +197,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .lmfdb import fetch_form
+    from .pipeline import hasse_verdict
+
     source = _source(args)
     record = fetch_form(source, args.label, bound=args.bound)
     verdict, reports = hasse_verdict(record, args.ell, bound=args.bound)
@@ -213,6 +213,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .pipeline import rows_to_table, scan
+    from .refdata import reference_discrepancies
+
     source = _source(args)
     filters = None
     if args.no_cm or args.inner_twist_count is not None:
@@ -247,6 +250,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
+    from .lmfdb import fetch_form, query_candidates
+
     source = _source(args)
     if args.label:
         record = fetch_form(source, args.label, bound=args.bound)
@@ -274,6 +279,9 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_congruence(args) -> int:
+    from .lmfdb import fetch_form
+    from .pipeline import congruence_check
+
     source = _source(args)
     f = fetch_form(source, args.f_label)
     g = fetch_form(source, args.g_label)

@@ -48,12 +48,17 @@ class PartialDataError(RuntimeError):
 
 
 def _default_transport(url: str, params: dict) -> dict:
-    import requests
+    """GET url?params and parse the JSON body, with the standard library only.
+
+    urlopen raises for a 4xx or 5xx status; that, a timeout, a refused
+    connection and a body that is not JSON each become one TransportError.
+    """
+    from urllib.parse import urlencode
+    from urllib.request import urlopen
 
     try:
-        resp = requests.get(url, params=params, timeout=30)
-        resp.raise_for_status()
-        return resp.json()
+        with urlopen(f"{url}?{urlencode(params)}", timeout=30) as resp:
+            return json.loads(resp.read())
     except Exception as exc:  # noqa: BLE001 - single conversion point
         raise TransportError(f"GET {url} failed: {exc}") from exc
 

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import shutil
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hassecheck.lmfdb import (
     NotFoundError,
     PartialDataError,
     TransportError,
+    _default_transport,
     fetch_form,
     fixture_dir,
     list_fixture_labels,
@@ -289,3 +292,51 @@ def test_malformed_candidate_payload_is_a_transport_error(tmp_path, payload):
     with pytest.raises(TransportError):
         query_candidates(src, {"dimension": 2})
     assert not (tmp_path / "queries").exists()
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    """/ok answers JSON echoing the request path, /text a plain-text 200,
+    anything else the status its path names (/404, /500)."""
+
+    def do_GET(self):
+        route = self.path.split("?")[0].strip("/")
+        if route == "ok":
+            status, body = 200, json.dumps({"data": [{"path": self.path}]}).encode()
+        elif route == "text":
+            status, body = 200, b"<html>not json</html>"
+        else:
+            status, body = int(route), b"{}"
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """Base URL of an http.server on 127.0.0.1, served from a thread."""
+    # a proxy named in the environment must not carry the request off the machine
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setenv("NO_PROXY", "*")
+    server = HTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_default_transport_parses_a_json_body_and_sends_the_params(loopback):
+    payload = _default_transport(f"{loopback}/ok", {"label": "189.2.p.a", "_format": "json", "dim": 2})
+    assert payload == {"data": [{"path": "/ok?label=189.2.p.a&_format=json&dim=2"}]}
+
+
+@pytest.mark.parametrize("route", ["404", "500", "text"])
+def test_default_transport_turns_a_failed_get_into_one_transport_error(loopback, route):
+    with pytest.raises(TransportError, match=f"GET {loopback}/{route} failed"):
+        _default_transport(f"{loopback}/{route}", {"_format": "json"})
