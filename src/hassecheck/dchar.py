@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .ffield import factorize, primitive_root
 
@@ -125,7 +126,7 @@ class DirichletCharacter:
         dl = self.basis.dlog_table.get(a % self.basis.modulus)
         if dl is None:
             return None
-        return sum(e * x for e, x in zip(self.exponents, dl)) % self.zeta_order
+        return sum(map(mul, self.exponents, dl)) % self.zeta_order
 
     def order(self) -> int:
         m = self.zeta_order
@@ -153,6 +154,15 @@ class DirichletCharacter:
         if k is None:
             return 0
         return 1 if k == 0 else -1
+
+    def minus_residues(self) -> frozenset:
+        """The residues a mod N with chi(a) = -1, read through sign_value.
+
+        chi(n) = -1 exactly when n % N is in the set, so a sweep over many n
+        pays for one table of N entries; raises as sign_value does for a
+        character of order > 2.
+        """
+        return frozenset(a for a in range(self.modulus) if self.sign_value(a) == -1)
 
     def to_dict(self):
         return {
@@ -225,9 +235,10 @@ def kernel_field_disc(chi: DirichletCharacter) -> int:
     Computed from conductor and parity: |disc| = conductor, sign = chi(-1).
     The trivial character yields 1.
     """
-    if chi.order() > 2:
+    order = chi.order()
+    if order > 2:
         raise ValueError("kernel field only defined for quadratic characters")
-    if chi.is_trivial() or chi.order() == 1:
+    if order == 1:
         return 1
     f = chi.conductor()
     return f if chi.sign_value(-1) == 1 else -f

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from itertools import compress
+from math import floor, isqrt
+from typing import NamedTuple
 
 from .dchar import DirichletCharacter, RingEmbedding, evaluate, twist_modulus
 from .ffield import factorize, is_prime
@@ -159,13 +161,24 @@ def sturm_bound(level: int, weight: int) -> int:
     return floor(Fraction(weight) * mu / 12)
 
 
+def primes_upto(n: int) -> list[int]:
+    """The primes p <= n, by a sieve of Eratosthenes over a bytearray."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
 def default_bound(level: int) -> int:
     q = twist_modulus(level)
     return max(200, sturm_bound(level * q * q, 2))
 
 
-@dataclass(frozen=True)
-class FrobData:
+class FrobData(NamedTuple):
     """Frobenius at p mod a prime ideal above ell: trace and det as residues in [0, ell)."""
 
     p: int
@@ -317,8 +330,8 @@ class NewformRecord:
             raise ValueError(f"{label}: label does not name weight {weight}")
         if self.char.modulus != level:
             raise ValueError(f"{label}: character modulus {self.char.modulus} is not the level {level}")
-        for p in range(2, self.ap_max_prime + 1):
-            if p not in self.ap and is_prime(p):
+        for p in primes_upto(self.ap_max_prime):
+            if p not in self.ap:
                 raise ValueError(f"{label}: no a_p for p = {p} <= ap_max_prime {self.ap_max_prime}")
         if self.zeta_in_field is not None:
             m = self.char.zeta_order

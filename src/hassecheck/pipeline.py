@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
+from operator import mul
 
 from . import dchar
 from .dchar import DirichletCharacter, kernel_field_disc, twist_modulus
-from .ffield import FieldElement, is_prime, legendre, mul_order, primitive_root
+from .ffield import FieldElement, legendre, mul_order, primitive_root
 from .hasse import sutherland_dihedral
 from .lmfdb import DataSource, fetch_form, list_fixture_labels, matches, query_candidates
 from .nfdata import (
@@ -28,6 +29,7 @@ from .nfdata import (
     ReductionMap,
     default_bound,
     frob_charpoly,
+    primes_upto,
     projective_frob_order,
     reduce_char_embedding,
     reduce_coeff,
@@ -41,7 +43,7 @@ STABILIZATION_MARGIN = 50
 def test_primes(level: int, ell: int, bound: int) -> list[int]:
     """All primes p <= bound with p not dividing ell * level."""
     excl = ell * level
-    return [p for p in range(2, bound + 1) if is_prime(p) and excl % p != 0]
+    return [p for p in primes_upto(bound) if excl % p != 0]
 
 
 def frob_table(record: NewformRecord, rmap: ReductionMap, bound: int) -> dict[int, FrobData]:
@@ -60,12 +62,15 @@ def detect_twist(frob: dict[int, FrobData], level: int):
     """First nontrivial quadratic self-twist candidate surviving every test.
 
     A character alpha mod q survives when reduce(a_p) = 0 at every tested
-    prime with alpha(p) = -1.  Returns (alpha, kernel_disc) or None.
+    prime with alpha(p) = -1, read as p % q in alpha's residue table.
+    Returns (alpha, kernel_disc) or None.
     """
-    for alpha in dchar.quadratic_characters(twist_modulus(level)):
+    q = twist_modulus(level)
+    for alpha in dchar.quadratic_characters(q):
         if alpha.is_trivial():
             continue
-        if all(fd.trace == 0 for p, fd in frob.items() if alpha.sign_value(p) == -1):
+        minus = alpha.minus_residues()
+        if all(fd.trace == 0 for p, fd in frob.items() if p % q in minus):
             return alpha, kernel_field_disc(alpha)
     return None
 
@@ -78,19 +83,23 @@ def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
     least violating prime), and a surviving character means the data cannot
     exclude reducibility.  With chi(p) = zeta^k for the generator
     zeta = primitive_root(l) of F_l^x, the test reads
-    t = zeta^k + d * zeta^-k mod l.
+    t = zeta^k + d * zeta^-k mod l, k the dot product of chi's exponents
+    with the unit-group log of p, which is looked up once per prime.
     """
     m = ell - 1
     zeta = primitive_root(ell)
     up = [pow(zeta, k, ell) for k in range(m)]
     down = [up[-k % m] for k in range(m)]
+    dlog = dchar.UnitGroupBasis.for_modulus(level).dlog_table
+    rows = [(p, fd.trace, fd.det, dlog[p % level]) for p, fd in frob.items()]
     certificates = {}
     survivor = None
     for chi in dchar.fl_valued_characters(level, ell):
+        exps = chi.exponents
         violation = None
-        for p, fd in frob.items():
-            k = chi.exponent_at(p)
-            if fd.trace != (up[k] + fd.det * down[k]) % ell:
+        for p, t, d, dl in rows:
+            k = sum(map(mul, exps, dl)) % m
+            if t != (up[k] + d * down[k]) % ell:
                 violation = p
                 break
         if violation is None:
@@ -102,9 +111,9 @@ def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
         return {"reducible": False, "character": None, "certificates": certificates}
     # order of the ratio character chi'/chi = omega*eps/chi^2 on the table
     ratio_order = 1
-    for p, fd in frob.items():
-        k = survivor.exponent_at(p)
-        ratio_order = lcm(ratio_order, mul_order(FieldElement(fd.det * down[k] * down[k], ell)))
+    for _, _, d, dl in rows:
+        k = sum(map(mul, survivor.exponents, dl)) % m
+        ratio_order = lcm(ratio_order, mul_order(FieldElement(d * down[k] * down[k], ell)))
     return {
         "reducible": True,
         "character": survivor,
@@ -121,12 +130,14 @@ def dihedral_order(frob: dict[int, FrobData], alpha: DirichletCharacter, ell: in
     result degrades to insufficient data when that happens too close to the
     bound or when no usable split prime exists.
     """
+    q = alpha.modulus
+    minus = alpha.minus_residues()
     n = 1
     last_change = None
     used = 0
     skipped_repeated = []
     for p, fd in frob.items():
-        if alpha.sign_value(p) == -1:
+        if p % q in minus:
             continue
         if fd.repeated:
             skipped_repeated.append(p)

@@ -2,7 +2,7 @@
 
 import json
 from itertools import product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given
@@ -71,6 +71,31 @@ def test_quadratic_counts_match_even_cyclic_factors():
         basis = UnitGroupBasis.for_modulus(q)
         even = sum(1 for o in basis.orders if o % 2 == 0)
         assert len(quadratic_characters(q)) == 2**even
+
+
+def test_minus_residues_agree_with_sign_value():
+    # twist moduli are the squarefree q; every prime factor of q <= 210 is
+    # among the primes p <= 1000, so p | q is covered too
+    primes = [p for p in range(2, 1001) if all(p % d for d in range(2, isqrt(p) + 1))]
+    count = 0
+    for q in range(1, 211):
+        if twist_modulus(q * q) != q:
+            continue
+        for alpha in quadratic_characters(q):
+            minus = alpha.minus_residues()
+            for p in primes:
+                assert (p % q in minus) == (alpha.sign_value(p) == -1), (q, alpha.exponents, p)
+            count += 1
+    assert count == 384  # over the 129 squarefree q <= 210
+
+
+def test_minus_residues_reject_a_character_of_order_above_2():
+    for chi in fl_valued_characters(63, 7):
+        if chi.order() > 2:
+            with pytest.raises(ValueError):
+                chi.minus_residues()
+        else:
+            assert (chi.order() == 1) == (chi.minus_residues() == frozenset())
 
 
 def test_fl_valued_counts():

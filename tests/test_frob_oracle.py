@@ -1,9 +1,11 @@
 """The int-valued newform sweep against the FieldElement computation it replaces.
 
-Every fixture that splits at 7, both prime ideals, at bound 1000 and at the
-default bound: the Frobenius table is checked against exact ring values
-reduced by the ideal's map, and each pipeline stage against a local copy of
-its FieldElement version (evaluate, sign_value, legendre).  The int-valued
+Every fixture that splits at 7, and every one that splits at 13, both prime
+ideals, at bound 1000 and at the default bound: the Frobenius table is
+checked against exact ring values reduced by the ideal's map, and each
+pipeline stage against a local copy of its FieldElement version (evaluate,
+sign_value, legendre).  At 13 the reducibility sweep runs characters of
+order dividing 12 through the shared unit-group log rows.  The int-valued
 `legendre` is checked against the FieldElement Euler criterion it replaced.
 """
 
@@ -30,14 +32,15 @@ ELL = 7
 SRC = DataSource(mode="fixtures")
 
 
-def _maps(label):
+def _maps(label, ell=ELL):
     try:
-        return split_primes(fetch_form(SRC, label).field_poly, ELL)
+        return split_primes(fetch_form(SRC, label).field_poly, ell)
     except RamifiedPrimeError:
         return None
 
 
 SPLIT = [label for label in list_fixture_labels(SRC) if _maps(label) is not None]
+SPLIT_13 = [label for label in list_fixture_labels(SRC) if _maps(label, 13) is not None]
 
 
 def test_every_fixture_but_the_inert_and_ramified_one_splits():
@@ -149,13 +152,11 @@ def fe_not_borel_witness(frob):
 # -- the comparison -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("bound", [1000, None], ids=["b1000", "default"])
-@pytest.mark.parametrize("label", SPLIT)
-def test_int_sweep_matches_the_field_element_sweep(label, bound):
+def compare_sweeps(label, bound, ell):
     record = fetch_form(SRC, label)
     if bound is None:
         bound = default_bound(record.level)
-    for rmap in _maps(label):
+    for rmap in _maps(label, ell):
         if record.ap_max_prime < bound:
             with pytest.raises(DataCoverageError):
                 frob_table(record, rmap, bound)
@@ -165,12 +166,28 @@ def test_int_sweep_matches_the_field_element_sweep(label, bound):
         assert list(frob) == list(oracle)
         for p, fd in frob.items():
             t, d = oracle[p]
-            assert (fd.p, fd.trace, fd.det, fd.ell) == (p, t.value, d.value, ELL), (label, rmap.root, p)
+            assert (fd.p, fd.trace, fd.det, fd.ell) == (p, t.value, d.value, ell), (label, rmap.root, p)
 
         twist = detect_twist(frob, record.level)
         assert twist == fe_detect_twist(oracle, record.level)
-        assert exclude_reducible(frob, record.level, ELL) == fe_exclude_reducible(oracle, record.level, ELL)
+        assert exclude_reducible(frob, record.level, ell) == fe_exclude_reducible(oracle, record.level, ell)
         # every quadratic alpha the twist search could return, not only the survivor
         for alpha in dchar.quadratic_characters(twist_modulus(record.level)):
-            assert dihedral_order(frob, alpha, ELL, bound) == fe_dihedral_order(oracle, alpha, ELL, bound)
+            assert dihedral_order(frob, alpha, ell, bound) == fe_dihedral_order(oracle, alpha, ell, bound)
         assert not_borel_witness(frob) == fe_not_borel_witness(oracle)
+
+
+@pytest.mark.parametrize("bound", [1000, None], ids=["b1000", "default"])
+@pytest.mark.parametrize("label", SPLIT)
+def test_int_sweep_matches_the_field_element_sweep(label, bound):
+    compare_sweeps(label, bound, ELL)
+
+
+def test_eleven_fixtures_split_at_13():
+    assert len(SPLIT_13) == 11
+
+
+@pytest.mark.parametrize("bound", [1000, None], ids=["b1000", "default"])
+@pytest.mark.parametrize("label", SPLIT_13)
+def test_int_sweep_matches_the_field_element_sweep_at_13(label, bound):
+    compare_sweeps(label, bound, 13)

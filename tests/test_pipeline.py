@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,14 @@ def rmaps(rec, ell=7):
 def conjugate(x: QuadElement) -> QuadElement:
     """The Galois conjugate of x: g + g' = -m1."""
     return QuadElement(x.c0 - x.m1 * x.c1, -x.c1, x.m0, x.m1)
+
+
+@pytest.mark.parametrize("level, ell", [(1, 2), (49, 7), (189, 7), (7938, 13), (2310, 13), (9099, 11)])
+def test_test_primes_match_trial_division(level, ell):
+    excl = ell * level
+    trial = [p for p in range(2, 2001) if all(p % d for d in range(2, isqrt(p) + 1)) and excl % p != 0]
+    for bound in range(2001):
+        assert pipeline.test_primes(level, ell, bound) == [p for p in trial if p <= bound], bound
 
 
 def test_detect_twist_189p():
