@@ -210,23 +210,30 @@ def twist_modulus(n: int) -> int:
     return q
 
 
-def _characters(n: int, m: int) -> list[DirichletCharacter]:
+@lru_cache(maxsize=None)
+def _characters(n: int, m: int) -> tuple[DirichletCharacter, ...]:
     """All characters mod n of order dividing m, in exponent-vector order.
 
     The image of a generator of order o is a power of zeta_m whose exponent
-    is a multiple of m / gcd(o, m).
+    is a multiple of m / gcd(o, m).  Enumerated once per (n, m).
     """
     basis = UnitGroupBasis.for_modulus(n)
     steps = [range(0, m, m // gcd(o, m)) for o in basis.orders]
-    return [DirichletCharacter(basis, m, exps) for exps in product(*steps)]
+    return tuple(DirichletCharacter(basis, m, exps) for exps in product(*steps))
+
+
+@lru_cache(maxsize=None)
+def _quadratic_characters(q: int) -> tuple[DirichletCharacter, ...]:
+    return tuple(sorted(_characters(q, 2), key=lambda c: (c.conductor(), c.exponents)))
 
 
 def quadratic_characters(q: int) -> list[DirichletCharacter]:
     """All characters mod q of order dividing 2, trivial one first.
 
     Sorted by (conductor, exponent vector) so iteration order is canonical.
+    Built once per q; every call returns a fresh list.
     """
-    return sorted(_characters(q, 2), key=lambda c: (c.conductor(), c.exponents))
+    return list(_quadratic_characters(q))
 
 
 def kernel_field_disc(chi: DirichletCharacter) -> int:
@@ -245,5 +252,8 @@ def kernel_field_disc(chi: DirichletCharacter) -> int:
 
 
 def fl_valued_characters(n: int, ell: int) -> list[DirichletCharacter]:
-    """All characters mod n of order dividing ell - 1, in exponent-vector order."""
-    return _characters(n, ell - 1)
+    """All characters mod n of order dividing ell - 1, in exponent-vector order.
+
+    Built once per (n, ell - 1); every call returns a fresh list.
+    """
+    return list(_characters(n, ell - 1))

@@ -116,8 +116,8 @@ def fetch_form(source: DataSource, label: str, bound: int | None = None) -> Newf
     if not m:
         raise LabelSyntaxError(f"malformed newform label: {label!r}")
     level = int(m.group(1))
-    if bound is None:
-        bound = default_bound(level)
+    if bound is None and level < 1:
+        raise ValueError("modulus must be positive")  # as default_bound(level) would
 
     if source.mode == "fixtures":
         path = Path(source.fixtures) / f"{label}.json"
@@ -125,6 +125,8 @@ def fetch_form(source: DataSource, label: str, bound: int | None = None) -> Newf
             raise NotFoundError(f"no fixture for label {label}")
         return _load_record(path)
 
+    if bound is None:
+        bound = default_bound(level)
     cpath = _cache_path(source, label)
     if cpath.exists():
         rec = _load_record(cpath)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import floor, isqrt
+from numbers import Rational
 from typing import NamedTuple
 
 from .dchar import DirichletCharacter, RingEmbedding, evaluate, twist_modulus
@@ -38,22 +40,30 @@ class BadDenominatorError(ValueError):
     pass
 
 
-def exact_rational(c) -> Fraction:
+def exact_rational(c) -> Rational:
     """A coefficient (int, "n/d" string, decimal or Fraction) as an exact rational.
 
     Read from its text, so the decimal 0.1 is 1/10 and not the binary double
     nearest to it.  Never truncated: a denominator must reach the reduction
-    map, which rejects the ideals it divides.  A bool is not a coefficient.
+    map, which rejects the ideals it divides.  An integral value comes back
+    as an int ("4/2" and 3.0 as 2 and 3), anything else as a Fraction.  A
+    bool is not a coefficient.
     """
-    return Fraction(c) if type(c) is int else Fraction(str(c))
+    if type(c) is int:
+        return c
+    value = Fraction(str(c))
+    return value.numerator if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
 class QuadElement:
-    """c0 + c1*g with g a root of x^2 + m1*x + m0 (monic integer quadratic)."""
+    """c0 + c1*g with g a root of x^2 + m1*x + m0 (monic integer quadratic).
 
-    c0: Fraction
-    c1: Fraction
+    The coordinates are ints or Fractions.
+    """
+
+    c0: Rational
+    c1: Rational
     m0: int
     m1: int
 
@@ -75,7 +85,7 @@ class QuadElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = QuadElement(Fraction(other), Fraction(0), self.m0, self.m1)
+            other = QuadElement(other, 0, self.m0, self.m1)
         self._same(other)
         # g^2 = -m1 g - m0
         a, b, c, d = self.c0, self.c1, other.c0, other.c1
@@ -99,8 +109,11 @@ class ReductionMap:
         if (x.m0, x.m1) != (self.m0, self.m1):
             raise ValueError("element does not belong to this field")
         ell = self.ell
-        num0, den0 = x.c0.numerator, x.c0.denominator
-        num1, den1 = x.c1.numerator, x.c1.denominator
+        c0, c1 = x.c0, x.c1
+        num0, den0 = c0.numerator, c0.denominator
+        num1, den1 = c1.numerator, c1.denominator
+        if den0 == 1 and den1 == 1:
+            return (num0 + num1 * self.root) % ell
         if den0 % ell == 0 or den1 % ell == 0:
             raise BadDenominatorError(f"denominator divisible by {ell}")
         return (num0 * pow(den0, -1, ell) + num1 * pow(den1, -1, ell) * self.root) % ell
@@ -162,15 +175,23 @@ def sturm_bound(level: int, weight: int) -> int:
 
 
 def primes_upto(n: int) -> list[int]:
-    """The primes p <= n, by a sieve of Eratosthenes over a bytearray."""
+    """The primes p <= n, by a sieve of Eratosthenes over a bytearray.
+
+    Sieved once per n; every call returns a fresh list.
+    """
+    return list(_primes_upto(n))
+
+
+@lru_cache(maxsize=16)
+def _primes_upto(n: int) -> tuple[int, ...]:
     if n < 2:
-        return []
+        return ()
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), sieve))
+    return tuple(compress(range(n + 1), sieve))
 
 
 def default_bound(level: int) -> int:
@@ -344,7 +365,7 @@ class NewformRecord:
         return NewformRecord.from_dict(json.loads(text))
 
 
-def _coeff_json(c: Fraction):
+def _coeff_json(c: Rational):
     """An int when integral, else the exact "n/d" string that from_dict parses back."""
     return c.numerator if c.denominator == 1 else str(c)
 

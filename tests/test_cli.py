@@ -364,6 +364,16 @@ def test_scan_filters_select_the_non_cm_rows_of_the_golden_scan(capsys):
     assert [row["label"] for row in doc["rows"]] == labels
 
 
+def test_scan_at_ell_13_matches_the_golden_cm_rows(capsys):
+    # a CM form's a_p are exact at every l, so its rows pin the scan beyond l = 7
+    rc, out, _ = run(capsys, ["scan", "--ell", "13", "--source", "fixtures", "--bound", "1000", "--format", "json"])
+    assert rc == EX_OK
+    cm = {path.stem for path in fixture_dir().glob("*.json") if json.loads(path.read_text())["cm"]}
+    rows = [row for row in json.loads(out)["rows"] if row["label"] in cm]
+    assert len(rows) == 12
+    assert rows == json.loads((GOLDEN / "scan_ell13_b1000_cm.json").read_text())
+
+
 def test_scan_filters_apply_to_explicit_labels(capsys):
     # 63.2.e.a has CM, so --no-cm leaves only the 9099.2.a.e row
     rc, out, _ = run(capsys, [

@@ -104,6 +104,32 @@ def test_fl_valued_counts():
     assert len(fl_valued_characters(189, 7)) == 36
 
 
+def uncached_characters(n, m):
+    """Characters mod n of order dividing m: each exponent e of a generator of order o has e*o = 0 mod m."""
+    basis = UnitGroupBasis.for_modulus(n)
+    steps = [[e for e in range(m) if e * o % m == 0] for o in basis.orders]
+    return [DirichletCharacter(basis, m, exps) for exps in product(*steps)]
+
+
+def test_character_lists_match_uncached_enumerations_below_400():
+    for n in range(1, 401):
+        quadratic = uncached_characters(n, 2)
+        quadratic.sort(key=lambda c: (c.conductor(), c.exponents))
+        assert quadratic_characters(n) == quadratic, n
+        for ell in (3, 7, 11, 13):  # orders dividing 2, 6, 10 and 12
+            assert fl_valued_characters(n, ell) == uncached_characters(n, ell - 1), (n, ell)
+
+
+def test_character_lists_are_fresh_on_every_call():
+    for build in (lambda: quadratic_characters(21), lambda: fl_valued_characters(189, 7)):
+        first = build()
+        want = list(first)
+        first.reverse()
+        first.pop()
+        assert build() == want
+        assert build() is not build()
+
+
 def old_conductor(chi):
     """The former loop: a flagged scan of (Z/N)^x for every divisor of N."""
     n = chi.modulus

@@ -108,6 +108,40 @@ def test_unknown_label():
         fetch_form(fixtures_source(), "11.2.a.a")
 
 
+def test_fixtures_fetch_never_computes_the_default_bound(monkeypatch):
+    import hassecheck.lmfdb as lmfdb
+
+    def refuse(level):
+        raise AssertionError(f"default_bound({level}) computed in fixtures mode")
+
+    monkeypatch.setattr(lmfdb, "default_bound", refuse)
+    assert fetch_form(fixtures_source(), "189.2.p.a").level == 189
+    with pytest.raises(NotFoundError):
+        fetch_form(fixtures_source(), "11.2.a.a")
+
+
+@pytest.mark.parametrize("mode", ["fixtures", "cache_only", "http"])
+def test_level_0_label_without_a_bound_is_a_value_error(tmp_path, mode):
+    src = DataSource(mode=mode, cache_dir=tmp_path, transport=_panic_transport)
+    with pytest.raises(ValueError, match="^modulus must be positive$"):
+        fetch_form(src, "0.2.a.a")
+
+
+def test_cache_fetch_still_reads_the_default_bound(tmp_path):
+    # a cached record covering less than default_bound(189) = 432 is refetched over http
+    rec = fetch_form(fixtures_source(), "189.2.p.a")
+    short = rec.to_dict()
+    short["ap"] = [a for a in short["ap"] if a["p"] <= 100]
+    short["ap_max_prime"] = 100
+    cpath = tmp_path / "forms" / "189.2.p.a.json"
+    cpath.parent.mkdir(parents=True)
+    cpath.write_text(json.dumps(short))
+    src = DataSource(mode="http", cache_dir=tmp_path, transport=_panic_transport, delay=0)
+    with pytest.raises(AssertionError, match="network call attempted"):
+        fetch_form(src, "189.2.p.a")
+    assert fetch_form(src, "189.2.p.a", bound=100).ap_max_prime == 100
+
+
 def test_no_network_in_fixture_mode():
     src = fixtures_source()
     fetch_form(src, "189.2.p.a")

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -15,7 +16,9 @@ from hassecheck.nfdata import (
     NewformRecord,
     QuadElement,
     RamifiedPrimeError,
+    exact_rational,
     frob_charpoly,
+    primes_upto,
     projective_frob_order,
     reduce_char_embedding,
     split_primes,
@@ -77,6 +80,65 @@ def test_reduce_rejects_bad_denominator():
         r3.apply(x)
 
 
+@pytest.mark.parametrize("c, value", [
+    (5, 5), (-3, -3), (0, 0), ("4/2", 2), (3.0, 3), ("-6", -6), (Fraction(6, 3), 2),
+    ("1/7", Fraction(1, 7)), ("0.1", Fraction(1, 10)), (0.1, Fraction(1, 10)), (Fraction(-3, 2), Fraction(-3, 2)),
+])
+def test_exact_rational_is_an_int_exactly_when_integral(c, value):
+    got = exact_rational(c)
+    assert got == value
+    assert type(got) is (int if got.denominator == 1 else Fraction)
+
+
+def test_exact_rational_returns_an_int_coefficient_itself():
+    big = 10**30 + 1
+    assert exact_rational(big) is big
+
+
+@pytest.mark.parametrize("c", [True, False, "x", "1/0"])
+def test_exact_rational_rejects_what_is_not_a_rational(c):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        exact_rational(c)
+
+
+def fraction_reduction(x: QuadElement, ell: int, root: int):
+    """x mod the ideal (ell, g - root), through Fractions; None when ell divides a denominator."""
+    c0, c1 = Fraction(x.c0), Fraction(x.c1)
+    if c0.denominator % ell == 0 or c1.denominator % ell == 0:
+        return None
+    return (c0.numerator * pow(c0.denominator, -1, ell) + c1.numerator * pow(c1.denominator, -1, ell) * root) % ell
+
+
+@pytest.mark.parametrize("field, ell", [(SQRT2, 7), (ZETA6, 7), (ZETA6, 13), (SQRT2, 17)])
+def test_reduce_agrees_with_a_fraction_reference(field, ell):
+    rng = random.Random(ell * 100 + field[0])
+    m0, m1 = field[0], field[1]
+    maps = split_primes(field, ell)
+
+    def coordinate():
+        num = rng.randrange(-60, 61)
+        kind = rng.randrange(3)
+        if kind == 0:
+            return num  # an int
+        if kind == 1:
+            return Fraction(num * 3, 3)  # an integral Fraction
+        return Fraction(num, rng.choice([2, 3, 5, ell, 2 * ell, ell * ell]))
+
+    raised = 0
+    for _ in range(1500):
+        x = QuadElement(coordinate(), coordinate(), m0, m1)
+        for rmap in maps:
+            want = fraction_reduction(x, ell, rmap.root)
+            if want is None:
+                raised += 1
+                with pytest.raises(BadDenominatorError):
+                    rmap.apply(x)
+            else:
+                got = rmap.apply(x)
+                assert type(got) is int and got == want, (x, rmap.root)
+    assert raised > 0
+
+
 def test_reduce_is_ring_homomorphism():
     rng = random.Random(1)
     r3 = split_primes(SQRT2, 7)[0]
@@ -100,6 +162,17 @@ def test_sturm_bound_examples():
     assert sturm_bound(189, 2) == 48
     assert sturm_bound(1, 2) == 0
     assert sturm_bound(49, 2) == 9
+
+
+def test_primes_upto_matches_trial_division_and_returns_a_fresh_list():
+    primes = [p for p in range(2, 2001) if all(p % d for d in range(2, isqrt(p) + 1))]
+    for n in range(-2, 2001):
+        assert primes_upto(n) == [p for p in primes if p <= n], n
+    first = primes_upto(1000)
+    first.append(1001)
+    first[0] = 4
+    assert primes_upto(1000) == [p for p in primes if p <= 1000]
+    assert primes_upto(1000) is not primes_upto(1000)
 
 
 def test_frob_charpoly_on_fixture():
