@@ -35,11 +35,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hassecheck.dchar import UnitGroupBasis
-from hassecheck.ffield import factorize, is_prime, legendre
+from hassecheck.ffield import factorize, legendre
+from hassecheck.nfdata import primes_upto
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "hassecheck" / "fixtures"
 AP_MAX = 1009
-PRIMES = [p for p in range(2, AP_MAX + 1) if is_prime(p)]
+PRIMES = primes_upto(AP_MAX)
 
 
 # ---------------------------------------------------------------------------

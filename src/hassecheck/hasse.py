@@ -258,6 +258,15 @@ def classify_pgl2(group: ProjGroup) -> Pgl2Classification:
 # block-sum sufficiency
 
 
+def lemma31_carrier(facts) -> int | None:
+    """Lemma 3.1 on two factors, each a pair (hasse, free of global fixed points).
+
+    The sum is Hasse when one factor is Hasse and the other fixes no point.
+    Returns the index of the first such Hasse factor, the carrier, or None.
+    """
+    return next((i for i, (hasse, _) in enumerate(facts) if hasse and facts[1 - i][1]), None)
+
+
 def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
     """Sufficiency test for the block-sum construction.
 
@@ -275,13 +284,10 @@ def lemma31_check(g1: MatrixGroup, g2: MatrixGroup):
     is the G2 halves scaled once per leading alpha, not G1 + G2.
     """
     block = block_diagonal(g1, g2)
-    h1, h2 = projectivize(g1), projectivize(g2)
-    r1, r2 = is_hasse(h1), is_hasse(h2)
+    factors = [is_hasse(projectivize(g)) for g in (g1, g2)]
     # a group with a global fixed point has no violator, so is_hasse reached
     # its fixed-point test and reports the point it found
-    borel1 = r1.global_fixed_point is not None
-    borel2 = r2.global_fixed_point is not None
-    predicted = (r1.is_hasse and not borel2) or (r2.is_hasse and not borel1)
+    predicted = lemma31_carrier([(r.is_hasse, r.global_fixed_point is None) for r in factors]) is not None
     brute = is_hasse(block)
     return {"predicted": predicted, "brute_force": brute, "contract_holds": not predicted or brute.is_hasse}
 

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .ffield import is_prime
-from .nfdata import NewformRecord, default_bound, exact_rational
+from .nfdata import NewformRecord, default_bound, exact_rational, primes_upto
 
 DEFAULT_BASE_URL = "https://www.lmfdb.org/api"
-LABEL_RE = re.compile(r"^(\d+)\.(\d+)\.([a-z]+)\.([a-z]+)$")
+LABEL_RE = re.compile(r"^([1-9]\d*)\.(\d+)\.([a-z]+)\.([a-z]+)$")
 
 
 class LabelSyntaxError(ValueError):
@@ -116,8 +115,6 @@ def fetch_form(source: DataSource, label: str, bound: int | None = None) -> Newf
     if not m:
         raise LabelSyntaxError(f"malformed newform label: {label!r}")
     level = int(m.group(1))
-    if bound is None and level < 1:
-        raise ValueError("modulus must be positive")  # as default_bound(level) would
 
     if source.mode == "fixtures":
         path = Path(source.fixtures) / f"{label}.json"
@@ -250,7 +247,7 @@ def translate_newform(payload: dict, label: str, bound: int, source: DataSource)
         )["data"][0]
         ap_rows = hecke["ap"]
         maxp = int(hecke["maxp"])
-        primes = [p for p in range(2, maxp + 1) if is_prime(p)]
+        primes = primes_upto(maxp)
         ap = [
             {"p": p, "coeffs": [exact_rational(c[0]), exact_rational(c[1])]}
             for p, c in zip(primes, ap_rows)

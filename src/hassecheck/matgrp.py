@@ -212,8 +212,8 @@ class MatrixGroup:
         return closure(gens)
 
 
-def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
-    """Breadth-first closure of the generated subgroup, hard-capped."""
+def closure(generators) -> MatrixGroup:
+    """Breadth-first closure of the generated subgroup, hard-capped at DEFAULT_CAP."""
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator required")
@@ -234,8 +234,8 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
-                    if len(seen) > cap:
-                        raise ClosureCapError(cap)
+                    if len(seen) > DEFAULT_CAP:
+                        raise ClosureCapError(DEFAULT_CAP)
         frontier = nxt
     return MatrixGroup(tuple(gens), dim, p, frozenset(seen))
 

@@ -19,7 +19,7 @@ from operator import mul
 from . import dchar
 from .dchar import DirichletCharacter, kernel_field_disc, twist_modulus
 from .ffield import FieldElement, legendre, mul_order, primitive_root
-from .hasse import sutherland_dihedral
+from .hasse import lemma31_carrier, sutherland_dihedral
 from .lmfdb import DataSource, fetch_form, list_fixture_labels, matches, query_candidates
 from .nfdata import (
     DataCoverageError,
@@ -327,17 +327,12 @@ def hasse_verdict(record: NewformRecord, ell: int, bound: int | None = None):
         reasons["data_coverage"] = str(exc)
         return HasseVerdict(record.label, ell, "undetermined", reasons), []
 
-    # the evidence: the first dihedral ideal meeting Sutherland's condition
-    # whose other ideal is certified not Borel, else the first dihedral ideal
-    evidence = not_borel = None
-    for rep, other in zip(reports, reports[::-1]):
-        if rep.status != "dihedral":
-            continue
-        if sutherland_dihedral(rep.n, ell) and other.not_borel_certified:
-            evidence, not_borel = rep, other
-            break
-        if evidence is None:
-            evidence = rep
+    # Lemma 3.1's carrier: a dihedral ideal meeting Sutherland's condition whose other
+    # ideal is certified not Borel; the evidence is the carrier, else the first dihedral one
+    facts = [(r.status == "dihedral" and sutherland_dihedral(r.n, ell), r.not_borel_certified) for r in reports]
+    carrier = lemma31_carrier(facts)
+    dihedral = [r for r in reports if r.status == "dihedral"]
+    evidence = reports[carrier] if carrier is not None else (dihedral[0] if dihedral else None)
     if evidence is not None:
         n = evidence.n
         reasons.update(
@@ -349,7 +344,8 @@ def hasse_verdict(record: NewformRecord, ell: int, bound: int | None = None):
                 "n_divides_half_ell_minus_1": ((ell - 1) // 2) % n == 0,
             }
         )
-    if not_borel is not None:
+    if carrier is not None:
+        not_borel = reports[1 - carrier]
         reasons.update(
             {
                 "other_ideal_not_borel": True,
@@ -359,7 +355,8 @@ def hasse_verdict(record: NewformRecord, ell: int, bound: int | None = None):
                 else "irreducibility_sweep",
             }
         )
-        if reasons["ell_ge_7"] and reasons["ell_3_mod_4"]:
+        # Sutherland's n > 1 odd with n | (l - 1)/2 already forces l >= 7
+        if reasons["ell_3_mod_4"]:
             return HasseVerdict(record.label, ell, "hasse", reasons), reports
 
     if any(rep.status == "insufficient_data" for rep in reports):

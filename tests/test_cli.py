@@ -149,6 +149,18 @@ def test_check_group_rejects_a_non_int_modulus_or_dim(tmp_path, capsys, field, v
     assert f"ValueError: {field} must be an integer, not {value}" in err
 
 
+def test_check_group_over_the_closure_cap_exits_2_and_names_the_error(tmp_path, capsys, monkeypatch):
+    from hassecheck import matgrp
+
+    path = tmp_path / "gl2.json"
+    path.write_text(standard_constructors("gl2", 7).to_json())
+    monkeypatch.setattr(matgrp, "DEFAULT_CAP", 100)
+    rc, out, err = run(capsys, ["check-group", "--file", str(path)])
+    assert rc == EX_OPERATIONAL == 2
+    assert out == ""
+    assert err == "error: ClosureCapError: group closure exceeded the cap of 100 elements\n"
+
+
 def test_check_group_d6(tmp_path, capsys):
     g = closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7)])
     path = tmp_path / "d6.json"

@@ -275,6 +275,32 @@ def test_conjugation_invariance():
         assert is_hasse(grp).is_hasse == is_hasse(base).is_hasse
 
 
+@pytest.mark.parametrize(
+    "first, second, carrier",
+    [
+        # each factor: (hasse, free of global fixed points)
+        ((False, False), (False, False), None),
+        ((False, False), (False, True), None),
+        ((False, False), (True, False), None),
+        ((False, False), (True, True), None),
+        ((False, True), (False, False), None),
+        ((False, True), (False, True), None),
+        ((False, True), (True, False), 1),
+        ((False, True), (True, True), 1),
+        ((True, False), (False, False), None),
+        ((True, False), (False, True), 0),
+        ((True, False), (True, False), None),
+        ((True, False), (True, True), 0),
+        ((True, True), (False, False), None),
+        ((True, True), (False, True), 0),
+        ((True, True), (True, False), 1),
+        ((True, True), (True, True), 0),
+    ],
+)
+def test_lemma31_carrier_truth_table(first, second, carrier):
+    assert hasse.lemma31_carrier([first, second]) == carrier
+
+
 def test_lemma31_examples():
     g = d6_group()
     g2 = closure([matrix([[0, -3], [1, 1]], 7)])  # companion of x^2 - x + 3

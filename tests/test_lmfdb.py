@@ -122,9 +122,14 @@ def test_fixtures_fetch_never_computes_the_default_bound(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["fixtures", "cache_only", "http"])
 def test_level_0_label_without_a_bound_is_a_value_error(tmp_path, mode):
-    src = DataSource(mode=mode, cache_dir=tmp_path, transport=_panic_transport)
-    with pytest.raises(ValueError, match="^modulus must be positive$"):
-        fetch_form(src, "0.2.a.a")
+    # a level starts at 1, so "0.2.a.a" is malformed with or without a bound
+    calls = []
+    src = DataSource(mode=mode, cache_dir=tmp_path, delay=0, transport=lambda url, params: calls.append(url))
+    for bound in (None, 100):
+        with pytest.raises(LabelSyntaxError, match="^malformed newform label: '0.2.a.a'$"):
+            fetch_form(src, "0.2.a.a", bound)
+    assert issubclass(LabelSyntaxError, ValueError)
+    assert calls == []
 
 
 def test_cache_fetch_still_reads_the_default_bound(tmp_path):
@@ -356,7 +361,8 @@ def loopback(monkeypatch):
     monkeypatch.setenv("no_proxy", "*")
     monkeypatch.setenv("NO_PROXY", "*")
     server = HTTPServer(("127.0.0.1", 0), _LoopbackHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits out one poll, so a short poll keeps each teardown short
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()

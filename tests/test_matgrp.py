@@ -54,10 +54,12 @@ def test_closure_rejects_singular_generator():
         closure([matrix([[1, 1], [1, 1]], 7)])
 
 
-def test_closure_cap_is_a_hard_error():
+def test_closure_cap_is_a_hard_error(monkeypatch):
     gens = standard_constructors("gl2", 7).generators
-    with pytest.raises(ClosureCapError):
-        closure(gens, cap=100)
+    monkeypatch.setattr(matgrp, "DEFAULT_CAP", 100)  # read at call time
+    with pytest.raises(ClosureCapError, match="cap of 100 elements"):
+        closure(gens)
+    assert closure([matrix([[0, -1], [1, 0]], 7)]).order() == 4  # under the cap
 
 
 def test_closure_generator_order_independent():
@@ -202,10 +204,18 @@ def test_block_diagonal_joins_each_class_once():
         assert list(block.elements) == joined  # a second pass joins the same classes again
 
 
-def test_block_diagonal_cap_is_a_hard_error():
+def test_block_diagonal_cap_is_a_hard_error(monkeypatch):
     gl2 = standard_constructors("gl2", 11)
     with pytest.raises(ClosureCapError):
         block_diagonal(gl2, gl2)
+    # the cap is read at call time and bounds |G1| * |G2|
+    c4 = closure([matrix([[0, -1], [1, 0]], 7)])
+    d6 = closure([matrix([[2, 0], [0, 1]], 7), matrix([[0, 1], [1, 0]], 7)])
+    monkeypatch.setattr(matgrp, "DEFAULT_CAP", 4 * 18 - 1)
+    with pytest.raises(ClosureCapError, match="cap of 71 elements"):
+        block_diagonal(c4, d6)
+    monkeypatch.setattr(matgrp, "DEFAULT_CAP", 4 * 18)
+    assert block_diagonal(c4, d6).modulus == 7
 
 
 def test_standard_constructors():

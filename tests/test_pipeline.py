@@ -4,6 +4,7 @@ import json
 import shutil
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -221,6 +222,87 @@ def test_verdict_undetermined_paths():
     # data coverage beyond the fixture bound
     v, _ = hasse_verdict(fetch_form(SRC, "7938.2.a.bk"), 7)  # default bound is huge
     assert v.verdict == "undetermined" and "data_coverage" in v.reasons
+
+
+def _evidence_loop_reasons(reports, ell, bound):
+    """Oracle for hasse_verdict on two analysed ideals: the evidence loop that
+    hasse_verdict ran before Lemma 3.1's rule moved to hasse.lemma31_carrier."""
+    reasons = {
+        "ell_ge_7": ell >= 7,
+        "ell_3_mod_4": ell % 4 == 3,
+        "split_in_coefficient_field": True,
+        "dihedral_ideal": None,
+        "n": None,
+        "n_odd": False,
+        "n_gt_1": False,
+        "n_divides_half_ell_minus_1": False,
+        "other_ideal_not_borel": False,
+        "bound": bound,
+    }
+    evidence = not_borel = None
+    for rep, other in zip(reports, reports[::-1]):
+        if rep.status != "dihedral":
+            continue
+        n_ok = rep.n > 1 and rep.n % 2 == 1 and ((ell - 1) // 2) % rep.n == 0
+        if n_ok and (other.not_borel_witness is not None or other.irreducible):
+            evidence, not_borel = rep, other
+            break
+        if evidence is None:
+            evidence = rep
+    if evidence is not None:
+        n = evidence.n
+        reasons.update({
+            "dihedral_ideal": evidence.ideal,
+            "n": n,
+            "n_odd": n % 2 == 1,
+            "n_gt_1": n > 1,
+            "n_divides_half_ell_minus_1": ((ell - 1) // 2) % n == 0,
+        })
+    if not_borel is not None:
+        reasons.update({
+            "other_ideal_not_borel": True,
+            "not_borel_witness": not_borel.not_borel_witness,
+            "not_borel_mechanism": "witness_prime"
+            if not_borel.not_borel_witness is not None
+            else "irreducibility_sweep",
+        })
+        if reasons["ell_ge_7"] and reasons["ell_3_mod_4"]:
+            return "hasse", reasons
+    if any(rep.status == "insufficient_data" for rep in reports):
+        return "undetermined", reasons
+    return "not_hasse", reasons
+
+
+def _synthetic_reports(ell, ideal):
+    """Every status, with every order n for the dihedral one, under each
+    not-Borel certificate: none, a witness prime, the irreducibility sweep."""
+    out = []
+    for status in ("dihedral", "possibly_reducible", "not_dihedral", "insufficient_data"):
+        for n in (1, 2, 3, 5, 6, 7, 9, 11, 21) if status == "dihedral" else (3,):
+            for witness, irreducible in ((None, False), (None, True), (29, False)):
+                out.append(pipeline.ImageReport(
+                    "0.2.a.a", ell, 0, ideal, status, n=n, not_borel_witness=witness, irreducible=irreducible,
+                ))
+    return out
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 19, 23, 37, 41, 43])
+def test_hasse_verdict_matches_the_evidence_loop_on_synthetic_reports(monkeypatch, ell):
+    # ell = 1 and 3 mod 4 both appear: only the latter can give "hasse"
+    record = SimpleNamespace(label="0.2.a.a", m0=0, m1=0)
+    pair = []
+    monkeypatch.setattr(pipeline, "split_primes", lambda poly, ell: (0, 1))
+    monkeypatch.setattr(pipeline, "analyze_ideal", lambda record, rmap, bound: pair[rmap])
+    verdicts = set()
+    for first in _synthetic_reports(ell, "P1"):
+        for second in _synthetic_reports(ell, "P2"):
+            pair[:] = [first, second]
+            v, reports = hasse_verdict(record, ell, bound=100)
+            verdict, reasons = _evidence_loop_reasons(pair, ell, 100)
+            assert v.to_dict() == {"label": "0.2.a.a", "ell": ell, "verdict": verdict, "reasons": reasons}
+            assert reports == pair
+            verdicts.add(verdict)
+    assert verdicts == ({"hasse", "not_hasse", "undetermined"} if ell % 4 == 3 else {"not_hasse", "undetermined"})
 
 
 @pytest.mark.parametrize("label, last_change, settled", [("117.2.q.b", 37, "not_hasse"), ("189.2.p.a", 13, "hasse")])
