@@ -16,6 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from hassecheck.cli import _bound
 from hassecheck.lmfdb import DataSource
 from hassecheck.pipeline import rows_to_table, scan
 from hassecheck.refdata import REFERENCE_IMAGES_SIMPLE, reference_discrepancies
@@ -23,7 +24,7 @@ from hassecheck.refdata import REFERENCE_IMAGES_SIMPLE, reference_discrepancies
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bound", type=int, default=1000, help="prime bound for the high-level scan")
+    ap.add_argument("--bound", type=_bound, default=1000, help="prime bound for the high-level scan")
     args = ap.parse_args()
 
     src = DataSource(mode="fixtures")

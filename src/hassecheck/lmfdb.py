@@ -23,6 +23,7 @@ from pathlib import Path
 from .nfdata import NewformRecord, default_bound, exact_rational, primes_upto
 
 DEFAULT_BASE_URL = "https://www.lmfdb.org/api"
+REQUEST_DELAY_S = 0.5  # pause before each real upstream request
 LABEL_RE = re.compile(r"^([1-9]\d*)\.(\d+)\.([a-z]+)\.([a-z]+)$")
 
 
@@ -72,7 +73,6 @@ class DataSource:
     base_url: str | None = None
     cache_dir: Path | None = None
     fixtures: Path | None = None
-    delay: float = 0.5
     transport: object = None  # callable(url, params) -> dict
 
     def __post_init__(self):
@@ -92,9 +92,10 @@ class DataSource:
     def _get(self, url: str, params: dict) -> dict:
         if self.mode != "http":
             raise TransportError(f"network access not allowed in {self.mode} mode")
-        transport = self.transport or _default_transport
-        time.sleep(self.delay)
-        return transport(url, params)
+        if self.transport is not None:
+            return self.transport(url, params)
+        time.sleep(REQUEST_DELAY_S)
+        return _default_transport(url, params)
 
 
 def _cache_path(source: DataSource, label: str) -> Path:

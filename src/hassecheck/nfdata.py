@@ -93,9 +93,6 @@ class QuadElement:
 
     __rmul__ = __mul__
 
-    def __repr__(self):
-        return f"({self.c0} + {self.c1}*g)"
-
 
 @dataclass(frozen=True)
 class ReductionMap:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from operator import mul
 
 from . import dchar
 from .dchar import DirichletCharacter, kernel_field_disc, twist_modulus
@@ -82,24 +81,19 @@ def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
     for all good p; each failed character gets a violation certificate (its
     least violating prime), and a surviving character means the data cannot
     exclude reducibility.  With chi(p) = zeta^k for the generator
-    zeta = primitive_root(l) of F_l^x, the test reads
-    t = zeta^k + d * zeta^-k mod l, k the dot product of chi's exponents
-    with the unit-group log of p, which is looked up once per prime.
+    zeta = primitive_root(l) of F_l^x and k = chi.exponent_at(p), the test
+    reads t = zeta^k + d * zeta^-k mod l, with zeta^-k = up[-k] since
+    zeta^(l-1) = 1.
     """
-    m = ell - 1
     zeta = primitive_root(ell)
-    up = [pow(zeta, k, ell) for k in range(m)]
-    down = [up[-k % m] for k in range(m)]
-    dlog = dchar.UnitGroupBasis.for_modulus(level).dlog_table
-    rows = [(p, fd.trace, fd.det, dlog[p % level]) for p, fd in frob.items()]
+    up = [pow(zeta, k, ell) for k in range(ell - 1)]
     certificates = {}
     survivor = None
     for chi in dchar.fl_valued_characters(level, ell):
-        exps = chi.exponents
         violation = None
-        for p, t, d, dl in rows:
-            k = sum(map(mul, exps, dl)) % m
-            if t != (up[k] + d * down[k]) % ell:
+        for p, fd in frob.items():
+            k = chi.exponent_at(p)
+            if fd.trace != (up[k] + fd.det * up[-k]) % ell:
                 violation = p
                 break
         if violation is None:
@@ -111,9 +105,9 @@ def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
         return {"reducible": False, "character": None, "certificates": certificates}
     # order of the ratio character chi'/chi = omega*eps/chi^2 on the table
     ratio_order = 1
-    for _, _, d, dl in rows:
-        k = sum(map(mul, survivor.exponents, dl)) % m
-        ratio_order = lcm(ratio_order, mul_order(FieldElement(d * down[k] * down[k], ell)))
+    for p, fd in frob.items():
+        k = survivor.exponent_at(p)
+        ratio_order = lcm(ratio_order, mul_order(FieldElement(fd.det * up[-k] * up[-k], ell)))
     return {
         "reducible": True,
         "character": survivor,

@@ -424,3 +424,11 @@ def test_reproduce_tables_script_runs():
     assert "== mod-7 scan, absolutely simple candidates (field Q(sqrt 2)) ==" in out
     counts = [line for line in out.splitlines() if line.startswith("reference discrepancies:")]
     assert counts == ["reference discrepancies: 1", "reference discrepancies: 3"]
+
+
+def test_reproduce_tables_script_rejects_a_bound_below_two():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+    proc = subprocess.run([sys.executable, str(script), "--bound", "1"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "1 is below 2, so no prime would be tested" in proc.stderr
+    assert proc.stdout == ""

@@ -1,12 +1,12 @@
 """The int-valued newform sweep against the FieldElement computation it replaces.
 
-Every fixture that splits at 7, and every one that splits at 13, both prime
-ideals, at bound 1000 and at the default bound: the Frobenius table is
-checked against exact ring values reduced by the ideal's map, and each
-pipeline stage against a local copy of its FieldElement version (evaluate,
-sign_value, legendre).  At 13 the reducibility sweep runs characters of
-order dividing 12 through the shared unit-group log rows.  The int-valued
-`legendre` is checked against the FieldElement Euler criterion it replaced.
+Every fixture that splits at 7, 11, 13 and 19, both prime ideals, at bound
+1000 and at the default bound: the Frobenius table is checked against exact
+ring values reduced by the ideal's map, and each pipeline stage against a
+local copy of its FieldElement version (evaluate, sign_value, legendre).  At
+11, 13 and 19 the reducibility sweep runs characters of order dividing 10, 12
+and 18, so it reads zeta^-k for more exponents k.  The int-valued `legendre`
+is checked against the FieldElement Euler criterion it replaced.
 """
 
 from math import lcm
@@ -39,8 +39,8 @@ def _maps(label, ell=ELL):
         return None
 
 
-SPLIT = [label for label in list_fixture_labels(SRC) if _maps(label) is not None]
-SPLIT_13 = [label for label in list_fixture_labels(SRC) if _maps(label, 13) is not None]
+SPLIT_AT = {ell: [label for label in list_fixture_labels(SRC) if _maps(label, ell) is not None] for ell in (ELL, 11, 13, 19)}
+SPLIT = SPLIT_AT[ELL]
 
 
 def test_every_fixture_but_the_inert_and_ramified_one_splits():
@@ -184,10 +184,21 @@ def test_int_sweep_matches_the_field_element_sweep(label, bound):
 
 
 def test_eleven_fixtures_split_at_13():
-    assert len(SPLIT_13) == 11
+    assert len(SPLIT_AT[13]) == 11
 
 
 @pytest.mark.parametrize("bound", [1000, None], ids=["b1000", "default"])
-@pytest.mark.parametrize("label", SPLIT_13)
+@pytest.mark.parametrize("label", SPLIT_AT[13])
 def test_int_sweep_matches_the_field_element_sweep_at_13(label, bound):
     compare_sweeps(label, bound, 13)
+
+
+@pytest.mark.parametrize("ell, count", [(11, 1), (19, 10)])
+def test_fixtures_split_at_11_and_19(ell, count):
+    assert len(SPLIT_AT[ell]) == count
+
+
+@pytest.mark.parametrize("bound", [1000, None], ids=["b1000", "default"])
+@pytest.mark.parametrize("ell, label", [(ell, label) for ell in (11, 19) for label in SPLIT_AT[ell]])
+def test_int_sweep_matches_the_field_element_sweep_at_11_and_19(ell, label, bound):
+    compare_sweeps(label, bound, ell)

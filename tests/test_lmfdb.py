@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from hassecheck.lmfdb import (
+    REQUEST_DELAY_S,
     DataSource,
     LabelSyntaxError,
     NotFoundError,
@@ -124,7 +125,7 @@ def test_fixtures_fetch_never_computes_the_default_bound(monkeypatch):
 def test_level_0_label_without_a_bound_is_a_value_error(tmp_path, mode):
     # a level starts at 1, so "0.2.a.a" is malformed with or without a bound
     calls = []
-    src = DataSource(mode=mode, cache_dir=tmp_path, delay=0, transport=lambda url, params: calls.append(url))
+    src = DataSource(mode=mode, cache_dir=tmp_path, transport=lambda url, params: calls.append(url))
     for bound in (None, 100):
         with pytest.raises(LabelSyntaxError, match="^malformed newform label: '0.2.a.a'$"):
             fetch_form(src, "0.2.a.a", bound)
@@ -141,7 +142,7 @@ def test_cache_fetch_still_reads_the_default_bound(tmp_path):
     cpath = tmp_path / "forms" / "189.2.p.a.json"
     cpath.parent.mkdir(parents=True)
     cpath.write_text(json.dumps(short))
-    src = DataSource(mode="http", cache_dir=tmp_path, transport=_panic_transport, delay=0)
+    src = DataSource(mode="http", cache_dir=tmp_path, transport=_panic_transport)
     with pytest.raises(AssertionError, match="network call attempted"):
         fetch_form(src, "189.2.p.a")
     assert fetch_form(src, "189.2.p.a", bound=100).ap_max_prime == 100
@@ -210,7 +211,7 @@ def test_http_mode_uses_injected_transport(tmp_path):
         calls.append(url)
         raise TransportError("stop here")
 
-    src = DataSource(mode="http", cache_dir=tmp_path, transport=fake_transport, delay=0)
+    src = DataSource(mode="http", cache_dir=tmp_path, transport=fake_transport)
     with pytest.raises(TransportError):
         fetch_form(src, "11.2.a.a", bound=10)
     assert calls and "mf_newforms" in calls[0]
@@ -240,7 +241,7 @@ def _http_source(tmp_path, newform, hecke):
     def fake_transport(url, params):
         return hecke if "mf_hecke_nf" in url else newform
 
-    return DataSource(mode="http", cache_dir=tmp_path, transport=fake_transport, delay=0)
+    return DataSource(mode="http", cache_dir=tmp_path, transport=fake_transport)
 
 
 def test_fetched_non_integral_coefficient_is_kept_exactly(tmp_path):
@@ -301,7 +302,7 @@ def test_query_candidates_over_http_then_from_the_query_cache(tmp_path):
         return {"data": list(upstream)}
 
     filters = {"dimension": 2, "cm": False, "inner_twist_count": 1, "level_range": [7938, 9099]}
-    src = DataSource(mode="http", cache_dir=tmp_path, transport=fake_transport, delay=0)
+    src = DataSource(mode="http", cache_dir=tmp_path, transport=fake_transport)
     assert query_candidates(src, filters) == ["7938.2.a.bj", "9099.2.a.g"]
     assert calls == [(
         f"{src.base_url}/mf_newforms/",
@@ -327,7 +328,7 @@ def test_query_candidates_over_http_then_from_the_query_cache(tmp_path):
 
 @pytest.mark.parametrize("payload", [{}, {"data": [{"name": "x"}]}, {"data": None}])
 def test_malformed_candidate_payload_is_a_transport_error(tmp_path, payload):
-    src = DataSource(mode="http", cache_dir=tmp_path, transport=lambda url, params: payload, delay=0)
+    src = DataSource(mode="http", cache_dir=tmp_path, transport=lambda url, params: payload)
     with pytest.raises(TransportError):
         query_candidates(src, {"dimension": 2})
     assert not (tmp_path / "queries").exists()
@@ -380,3 +381,14 @@ def test_default_transport_parses_a_json_body_and_sends_the_params(loopback):
 def test_default_transport_turns_a_failed_get_into_one_transport_error(loopback, route):
     with pytest.raises(TransportError, match=f"GET {loopback}/{route} failed"):
         _default_transport(f"{loopback}/{route}", {"_format": "json"})
+
+
+def test_only_real_requests_are_paced(loopback, monkeypatch, tmp_path):
+    sleeps = []
+    monkeypatch.setattr("hassecheck.lmfdb.time.sleep", sleeps.append)
+    injected = DataSource(mode="http", cache_dir=tmp_path, transport=lambda url, params: {"data": []})
+    assert injected._get(f"{loopback}/ok", {"_format": "json"}) == {"data": []}
+    assert sleeps == []
+    real = DataSource(mode="http", cache_dir=tmp_path)
+    assert real._get(f"{loopback}/ok", {"_format": "json"}) == {"data": [{"path": "/ok?_format=json"}]}
+    assert sleeps == [REQUEST_DELAY_S]
