@@ -76,7 +76,8 @@ def _config(args, **extra) -> dict:
         "source": getattr(args, "source", None),
         "ell": getattr(args, "ell", None),
         "bound": getattr(args, "bound", None),
-        "cache_dir": str(getattr(args, "cache_dir", None) or os.environ.get("HASSE_CACHE_DIR", "")),
+        # only the newform commands have a cache; the group reports echo none
+        "cache_dir": str(args.cache_dir or os.environ.get("HASSE_CACHE_DIR", "")) if "cache_dir" in args else "",
     }
     cfg.update(extra)
     return cfg

@@ -1,8 +1,9 @@
 """Newform records over quadratic coefficient fields and their mod-l shadows.
 
 A record stores exact Fourier coefficients a_p in the order Z[g] of a
-quadratic field (coordinates over the basis {1, g}), the nebentypus with an
-explicit image of its root of unity inside the coefficient ring, and the
+quadratic field, each the pair (c0, c1) of its coordinates over the basis
+{1, g}, with the field x^2 + m1 x + m0 held once; the nebentypus with an
+explicit image of its root of unity inside the coefficient ring; and the
 largest prime covered.  Reduction maps send g to a root of its minimal
 polynomial mod l; only the split, unramified case is supported.
 """
@@ -55,43 +56,11 @@ def exact_rational(c) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
-@dataclass(frozen=True)
-class QuadElement:
-    """c0 + c1*g with g a root of x^2 + m1*x + m0 (monic integer quadratic).
-
-    The coordinates are ints or Fractions.
-    """
-
-    c0: Rational
-    c1: Rational
-    m0: int
-    m1: int
-
-    @staticmethod
-    def make(c0, c1, m0, m1) -> "QuadElement":
-        return QuadElement(exact_rational(c0), exact_rational(c1), m0, m1)
-
-    def _same(self, other):
-        if (self.m0, self.m1) != (other.m0, other.m1):
-            raise ValueError("elements of different fields")
-
-    def __add__(self, other):
-        self._same(other)
-        return QuadElement(self.c0 + other.c0, self.c1 + other.c1, self.m0, self.m1)
-
-    def __sub__(self, other):
-        self._same(other)
-        return QuadElement(self.c0 - other.c0, self.c1 - other.c1, self.m0, self.m1)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = QuadElement(other, 0, self.m0, self.m1)
-        self._same(other)
-        # g^2 = -m1 g - m0
-        a, b, c, d = self.c0, self.c1, other.c0, other.c1
-        return QuadElement(a * c - self.m0 * b * d, a * d + b * c - self.m1 * b * d, self.m0, self.m1)
-
-    __rmul__ = __mul__
+def ring_mul(x, y, m0: int, m1: int):
+    """The product of the pairs x, y in Z[g], with g^2 = -m1*g - m0."""
+    a, b = x
+    c, d = y
+    return (a * c - m0 * b * d, a * d + b * c - m1 * b * d)
 
 
 @dataclass(frozen=True)
@@ -101,12 +70,10 @@ class ReductionMap:
     m0: int
     m1: int
 
-    def apply(self, x: QuadElement) -> int:
-        """The residue of x in [0, ell)."""
-        if (x.m0, x.m1) != (self.m0, self.m1):
-            raise ValueError("element does not belong to this field")
+    def apply(self, x) -> int:
+        """The residue of the pair x = (c0, c1), read as c0 + c1*g, in [0, ell)."""
         ell = self.ell
-        c0, c1 = x.c0, x.c1
+        c0, c1 = x
         num0, den0 = c0.numerator, c0.denominator
         num1, den1 = c1.numerator, c1.denominator
         if den0 == 1 and den1 == 1:
@@ -231,7 +198,7 @@ class NewformRecord:
     weight: int
     char: DirichletCharacter
     field_poly: tuple  # (m0, m1, 1): x^2 + m1 x + m0
-    ap: dict  # prime -> QuadElement
+    ap: dict  # prime -> (c0, c1), the coefficient c0 + c1*g
     cm: bool
     cm_disc: int | None
     inner_twist_count: int
@@ -241,43 +208,41 @@ class NewformRecord:
 
     @property
     def m0(self) -> int:
-        return int(self.field_poly[0])
+        return self.field_poly[0]
 
     @property
     def m1(self) -> int:
-        return int(self.field_poly[1])
+        return self.field_poly[1]
 
-    def quad(self, c0, c1) -> QuadElement:
-        return QuadElement.make(c0, c1, self.m0, self.m1)
-
-    def coefficient(self, p: int) -> QuadElement:
+    def coefficient(self, p: int):
         if p not in self.ap:
             raise DataCoverageError(self.label, p, self.ap_max_prime)
         return self.ap[p]
 
     @property
-    def zeta(self) -> QuadElement:
-        """The coefficient-ring image of the character's root of unity zeta_m.
+    def zeta(self) -> tuple:
+        """The coefficient-ring image of the character's root of unity zeta_m, as a pair.
 
         The stored zeta_in_field when present; else +-1, which is the only
         choice for m <= 2.
         """
         if self.zeta_in_field is not None:
-            return self.quad(*self.zeta_in_field)
+            c0, c1 = self.zeta_in_field
+            return exact_rational(c0), exact_rational(c1)
         m = self.char.zeta_order
         if m > 2:
             raise ValueError(f"{self.label}: character needs zeta_in_field")
-        return self.quad(-1 if m == 2 else 1, 0)
+        return (-1 if m == 2 else 1, 0)
 
-    def _zeta_powers(self, count: int) -> list[QuadElement]:
+    def _zeta_powers(self, count: int) -> list[tuple]:
         """zeta^0, ..., zeta^(count - 1) in the coefficient ring."""
-        zeta, powers = self.zeta, [self.quad(1, 0)]
+        zeta, powers = self.zeta, [(1, 0)]
         for _ in range(count - 1):
-            powers.append(powers[-1] * zeta)
+            powers.append(ring_mul(powers[-1], zeta, self.m0, self.m1))
         return powers
 
     def char_embedding(self) -> RingEmbedding:
-        return RingEmbedding(self._zeta_powers(max(self.char.zeta_order, 1)), self.quad(0, 0))
+        return RingEmbedding(self._zeta_powers(max(self.char.zeta_order, 1)), (0, 0))
 
     def nebentypus_value(self, n: int, embed: RingEmbedding | None = None):
         """eps(n) in the coefficient ring, or through `embed` when one is given."""
@@ -291,8 +256,8 @@ class NewformRecord:
             "char": self.char.to_dict(),
             "field_poly": [self.m0, self.m1, 1],
             "ap": [
-                {"p": p, "coeffs": [_coeff_json(v.c0), _coeff_json(v.c1)]}
-                for p, v in sorted(self.ap.items())
+                {"p": p, "coeffs": [_coeff_json(c0), _coeff_json(c1)]}
+                for p, (c0, c1) in sorted(self.ap.items())
             ],
             "cm": self.cm,
             "inner_twist_count": self.inner_twist_count,
@@ -311,25 +276,33 @@ class NewformRecord:
 
     @staticmethod
     def from_dict(data: dict) -> "NewformRecord":
-        m0, m1, lead = data["field_poly"]
+        label = data["label"]
+
+        def typed(value, kind, name):
+            # exactly a JSON int or bool: 2.9 is no weight, and "false" no bool
+            if type(value) is not kind:
+                raise ValueError(f"{label}: {name} must be a JSON {kind.__name__}, not {value!r}")
+            return value
+
+        m0, m1, lead = (typed(c, int, "field_poly") for c in data["field_poly"])
         if lead != 1:
             raise ValueError("field_poly must be monic")
         ap = {
-            int(item["p"]): QuadElement.make(item["coeffs"][0], item["coeffs"][1], m0, m1)
+            typed(item["p"], int, "p"): (exact_rational(item["coeffs"][0]), exact_rational(item["coeffs"][1]))
             for item in data["ap"]
         }
         zeta = data.get("zeta_in_field")
         record = NewformRecord(
-            label=data["label"],
-            level=int(data["level"]),
-            weight=int(data["weight"]),
+            label=label,
+            level=typed(data["level"], int, "level"),
+            weight=typed(data["weight"], int, "weight"),
             char=DirichletCharacter.from_dict(data["char"]),
-            field_poly=(int(m0), int(m1), 1),
+            field_poly=(m0, m1, 1),
             ap=ap,
-            cm=bool(data["cm"]),
+            cm=typed(data["cm"], bool, "cm"),
             cm_disc=data.get("cm_disc"),
-            inner_twist_count=int(data["inner_twist_count"]),
-            ap_max_prime=int(data["ap_max_prime"]),
+            inner_twist_count=typed(data["inner_twist_count"], int, "inner_twist_count"),
+            ap_max_prime=typed(data["ap_max_prime"], int, "ap_max_prime"),
             zeta_in_field=tuple(zeta) if zeta else None,
             provenance=data.get("provenance", ""),
         )
@@ -375,8 +348,12 @@ def reduce_char_embedding(record: NewformRecord, rmap: ReductionMap) -> RingEmbe
     """The record's character embedding followed by rmap, valued in [0, l).
 
     Reduction is a ring map, so reducing zeta once gives eps(n) mod the
-    ideal for every n without building a coefficient-ring value.
+    ideal for every n without building a coefficient-ring value.  This is
+    the one check that rmap reduces the record's own field: every
+    frob_table runs it once per ideal, before any a_p is reduced.
     """
+    if (rmap.m0, rmap.m1) != (record.m0, record.m1):
+        raise ValueError(f"{record.label}: reduction map of another field")
     zeta, ell = rmap.apply(record.zeta), rmap.ell
     return RingEmbedding([pow(zeta, k, ell) for k in range(max(record.char.zeta_order, 1))], 0)
 

@@ -372,8 +372,8 @@ def congruence_check(
     level (an explicit, documented heuristic for the cross-level case); this
     is a verification aid, not a proof of congruence.
     """
-    maps_f = split_primes((f.m0, f.m1, 1), ell)
-    maps_g = split_primes((g.m0, g.m1, 1), ell)
+    maps_f = split_primes(f.field_poly, ell)
+    maps_g = split_primes(g.field_poly, ell)
     if maps_f is None or maps_g is None:
         raise ValueError(f"{ell} must split in both coefficient fields")
     rf = next((m for m in maps_f if root_f is None or m.root == root_f), None)
@@ -438,7 +438,7 @@ def scan(
     elif labels is None:
         labels = list_fixture_labels(source)
     rows: list[dict] = []
-    for label in sorted(labels):
+    for label in labels:
         try:
             record = fetch_form(source, label)
         except Exception as exc:  # noqa: BLE001 - per-row capture is the contract
@@ -454,11 +454,14 @@ def scan(
 
 
 def _label_sort_key(label: str):
+    """Level, weight, then the orbit and form letters as LMFDB counts them:
+    base 26, so a shorter code comes first (z before ba).  Malformed labels
+    sort last, by their text."""
     parts = label.split(".")
     try:
-        return (int(parts[0]), int(parts[1]), parts[2], parts[3])
+        return (int(parts[0]), int(parts[1]), (len(parts[2]), parts[2]), (len(parts[3]), parts[3]))
     except (ValueError, IndexError):
-        return (1 << 60, 0, label, "")
+        return (1 << 60, 0, (0, label), (0, ""))
 
 
 def rows_to_table(rows: list[dict]) -> str:

@@ -96,12 +96,18 @@ def test_enumerate_hasse_generators_close_to_the_printed_order(capsys, ell):
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
-def test_enumerate_hasse_stdout_matches_golden(capsys, monkeypatch, ell):
-    # the config echoes $HASSE_CACHE_DIR; the goldens were written without it
-    monkeypatch.delenv("HASSE_CACHE_DIR", raising=False)
+def test_enumerate_hasse_stdout_matches_golden(capsys, ell):
     rc, out, _ = run(capsys, ["enumerate-hasse", "--ell", str(ell)])
     assert rc == EX_OK
     assert out == (GOLDEN / f"enumerate_hasse_ell{ell}.json").read_text()
+
+
+def test_group_reports_ignore_the_cache_variable(capsys, monkeypatch, tmp_path):
+    # a group command has no cache, so $HASSE_CACHE_DIR must not reach its report
+    monkeypatch.setenv("HASSE_CACHE_DIR", str(tmp_path))
+    rc, out, _ = run(capsys, ["enumerate-hasse", "--ell", "3"])
+    assert rc == EX_OK
+    assert out == (GOLDEN / "enumerate_hasse_ell3.json").read_text()
 
 
 def test_check_group_trivial(tmp_path, capsys):

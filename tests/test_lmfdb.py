@@ -87,7 +87,7 @@ def test_fetch_form_fixture():
     rec = fetch_form(fixtures_source(), "189.2.p.a")
     assert rec.level == 189
     assert rec.char.conductor() == 21
-    assert (rec.ap[2].c0, rec.ap[2].c1) == (0, 0)
+    assert rec.ap[2] == (0, 0)
 
 
 def test_fetch_form_sqrt2_field():
@@ -233,7 +233,7 @@ def _upstream_payloads(record, maxp):
         "inner_twist_count": record.inner_twist_count,
         "zeta_in_field": list(record.zeta_in_field) if record.zeta_in_field else None,
     }
-    ap = [[str(record.ap[p].c0), str(record.ap[p].c1)] for p in primes]
+    ap = [[str(c) for c in record.ap[p]] for p in primes]
     return {"data": [row]}, {"data": [{"ap": ap, "maxp": maxp}]}
 
 
@@ -257,10 +257,10 @@ def test_fetched_non_integral_coefficient_is_kept_exactly(tmp_path):
 
     hecke["data"][0]["ap"][0] = ["1/7", "0"]  # a_2 = 1/7; 2 is a good prime of 189
     fetched = fetch_form(_http_source(tmp_path / "b", newform, hecke), "189.2.p.a", bound=100)
-    assert (fetched.ap[2].c0, fetched.ap[2].c1) == (Fraction(1, 7), 0)
+    assert fetched.ap[2] == (Fraction(1, 7), 0)
     cached = fetch_form(DataSource(mode="cache_only", cache_dir=tmp_path / "b"), "189.2.p.a", bound=100)
     assert cached.to_json() == fetched.to_json()
-    assert cached.ap[2].c0 == Fraction(1, 7)
+    assert cached.ap[2][0] == Fraction(1, 7)
     assert _scan_one(cached, 7, 100)["error"] == "BadDenominatorError: denominator divisible by 7"
 
 

@@ -1,4 +1,4 @@
-"""Quadratic coefficient arithmetic, reduction maps, Frobenius data."""
+"""Quadratic coefficient arithmetic, reduction maps, Frobenius data, record loading."""
 
 import json
 import random
@@ -14,32 +14,29 @@ from hassecheck.nfdata import (
     BadDenominatorError,
     FrobData,
     NewformRecord,
-    QuadElement,
     RamifiedPrimeError,
     exact_rational,
     frob_charpoly,
     primes_upto,
     projective_frob_order,
     reduce_char_embedding,
+    ring_mul,
     split_primes,
     sturm_bound,
 )
+from hassecheck.pipeline import frob_table, scan
 
 SQRT2 = (-2, 0, 1)  # x^2 - 2
 ZETA6 = (1, -1, 1)  # x^2 - x + 1
 
 
-def q2(c0, c1):
-    return QuadElement.make(c0, c1, -2, 0)
+def add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
 
 
-def qz(c0, c1):
-    return QuadElement.make(c0, c1, 1, -1)
-
-
-def conjugate(x: QuadElement) -> QuadElement:
-    """The Galois conjugate of x: g + g' = -m1."""
-    return QuadElement(x.c0 - x.m1 * x.c1, -x.c1, x.m0, x.m1)
+def conjugate(x, m1):
+    """The Galois conjugate of the pair x in a field x^2 + m1 x + m0: g + g' = -m1."""
+    return (x[0] - m1 * x[1], -x[1])
 
 
 def test_split_primes_examples():
@@ -67,17 +64,16 @@ def test_ideal_display():
 
 def test_reduce_examples():
     r3, r4 = split_primes(SQRT2, 7)
-    assert r3.apply(q2(0, 3)) == 2  # 3*sqrt2 at the (1+2b) ideal
+    assert r3.apply((0, 3)) == 2  # 3*sqrt2 at the (1+2b) ideal
     r5 = split_primes(ZETA6, 7)[1]
-    assert r5.apply(qz(-1, 3)) == 0
-    assert r3.apply(q2(0, 0)) == 0
+    assert r5.apply((-1, 3)) == 0
+    assert r3.apply((0, 0)) == 0
 
 
 def test_reduce_rejects_bad_denominator():
     r3 = split_primes(SQRT2, 7)[0]
-    x = QuadElement(Fraction(1, 7), Fraction(0), -2, 0)
     with pytest.raises(BadDenominatorError):
-        r3.apply(x)
+        r3.apply((Fraction(1, 7), Fraction(0)))
 
 
 @pytest.mark.parametrize("c, value", [
@@ -101,9 +97,9 @@ def test_exact_rational_rejects_what_is_not_a_rational(c):
         exact_rational(c)
 
 
-def fraction_reduction(x: QuadElement, ell: int, root: int):
+def fraction_reduction(x, ell: int, root: int):
     """x mod the ideal (ell, g - root), through Fractions; None when ell divides a denominator."""
-    c0, c1 = Fraction(x.c0), Fraction(x.c1)
+    c0, c1 = Fraction(x[0]), Fraction(x[1])
     if c0.denominator % ell == 0 or c1.denominator % ell == 0:
         return None
     return (c0.numerator * pow(c0.denominator, -1, ell) + c1.numerator * pow(c1.denominator, -1, ell) * root) % ell
@@ -112,7 +108,6 @@ def fraction_reduction(x: QuadElement, ell: int, root: int):
 @pytest.mark.parametrize("field, ell", [(SQRT2, 7), (ZETA6, 7), (ZETA6, 13), (SQRT2, 17)])
 def test_reduce_agrees_with_a_fraction_reference(field, ell):
     rng = random.Random(ell * 100 + field[0])
-    m0, m1 = field[0], field[1]
     maps = split_primes(field, ell)
 
     def coordinate():
@@ -126,7 +121,7 @@ def test_reduce_agrees_with_a_fraction_reference(field, ell):
 
     raised = 0
     for _ in range(1500):
-        x = QuadElement(coordinate(), coordinate(), m0, m1)
+        x = (coordinate(), coordinate())
         for rmap in maps:
             want = fraction_reduction(x, ell, rmap.root)
             if want is None:
@@ -143,19 +138,19 @@ def test_reduce_is_ring_homomorphism():
     rng = random.Random(1)
     r3 = split_primes(SQRT2, 7)[0]
     for _ in range(1000):
-        x = q2(rng.randrange(-50, 50), rng.randrange(-50, 50))
-        y = q2(rng.randrange(-50, 50), rng.randrange(-50, 50))
-        assert r3.apply(x + y) == (r3.apply(x) + r3.apply(y)) % 7
-        assert r3.apply(x * y) == r3.apply(x) * r3.apply(y) % 7
+        x = (rng.randrange(-50, 50), rng.randrange(-50, 50))
+        y = (rng.randrange(-50, 50), rng.randrange(-50, 50))
+        assert r3.apply(add(x, y)) == (r3.apply(x) + r3.apply(y)) % 7
+        assert r3.apply(ring_mul(x, y, -2, 0)) == r3.apply(x) * r3.apply(y) % 7
 
 
 def test_conjugation_swaps_the_two_maps():
     rng = random.Random(2)
     r3, r4 = split_primes(SQRT2, 7)
     for _ in range(200):
-        x = q2(rng.randrange(-50, 50), rng.randrange(-50, 50))
-        assert r3.apply(conjugate(x)) == r4.apply(x)
-        assert r4.apply(conjugate(x)) == r3.apply(x)
+        x = (rng.randrange(-50, 50), rng.randrange(-50, 50))
+        assert r3.apply(conjugate(x, 0)) == r4.apply(x)
+        assert r4.apply(conjugate(x, 0)) == r3.apply(x)
 
 
 def test_sturm_bound_examples():
@@ -303,7 +298,7 @@ def test_record_reads_a_decimal_coefficient_as_written():
     data = rec.to_dict()
     next(a for a in data["ap"] if a["p"] == 11)["coeffs"] = [0.1, 0]
     back = NewformRecord.from_dict(data)
-    assert back.coefficient(11) == rec.quad(Fraction(1, 10), 0)
+    assert back.coefficient(11) == (Fraction(1, 10), 0)
     r3 = split_primes(SQRT2, 7)[0]  # the (1 + 2b) ideal
     assert r3.apply(back.coefficient(11)) == 5  # 1/10 = 1/3 = 5 mod 7
     assert {"p": 11, "coeffs": ["1/10", 0]} in back.to_dict()["ap"]
@@ -316,7 +311,7 @@ def test_record_json_round_trip_keeps_non_integral_coefficients():
     data = rec.to_dict()
     next(a for a in data["ap"] if a["p"] == 2)["coeffs"] = ["1/7", "-3/2"]
     bad = NewformRecord.from_dict(data)
-    assert bad.coefficient(2) == rec.quad(Fraction(1, 7), Fraction(-3, 2))
+    assert bad.coefficient(2) == (Fraction(1, 7), Fraction(-3, 2))
     text = bad.to_json()
     back = NewformRecord.from_json(text)
     assert back.ap == bad.ap
@@ -327,3 +322,44 @@ def test_record_json_round_trip_keeps_non_integral_coefficients():
         rmap.apply(back.coefficient(2))
     # integral coefficients stay JSON ints, so fixture and cache bytes keep their form
     assert all(type(c) is int for item in rec.to_dict()["ap"] for c in item["coeffs"])
+
+
+@pytest.mark.parametrize("field, change", [
+    ("field_poly", lambda d: d.update(field_poly=[1.5, -1, 1])),  # int() would read x^2 - x + 1
+    ("field_poly", lambda d: d.update(field_poly=[1, -1, 1.0])),
+    ("level", lambda d: d.update(level=189.7)),
+    ("weight", lambda d: d.update(weight=2.9)),
+    ("p", lambda d: d["ap"][0].update(p=2.6)),  # the a_p at p = 2
+    ("ap_max_prime", lambda d: d.update(ap_max_prime=1009.5)),
+    ("inner_twist_count", lambda d: d.update(inner_twist_count=1.5)),
+    ("cm", lambda d: d.update(cm="false")),  # bool("false") is True
+], ids=["field_poly", "field_poly-lead", "level", "weight", "p", "ap_max_prime", "inner_twist_count", "cm"])
+def test_record_rejects_a_field_of_the_wrong_json_type(field, change):
+    data = fetch_form(DataSource(mode="fixtures"), "189.2.p.a").to_dict()
+    change(data)
+    with pytest.raises(ValueError, match=f"189.2.p.a: {field} must be a JSON"):
+        NewformRecord.from_dict(data)
+
+
+def test_scan_turns_a_record_of_the_wrong_json_type_into_an_error_row(tmp_path):
+    for label in ("189.2.p.a", "189.2.c.a"):
+        data = fetch_form(DataSource(mode="fixtures"), label).to_dict()
+        if label == "189.2.p.a":
+            data["cm"] = "false"
+        (tmp_path / f"{label}.json").write_text(json.dumps(data))
+    rows = scan(DataSource(mode="fixtures", fixtures=tmp_path), 7)
+    assert [r["label"] for r in rows] == ["189.2.c.a", "189.2.p.a"]
+    assert "error" not in rows[0]
+    assert rows[1] == {"label": "189.2.p.a", "error": "ValueError: 189.2.p.a: cm must be a JSON bool, not 'false'"}
+
+
+def test_a_reduction_map_of_another_field_is_rejected_once_per_ideal():
+    """apply trusts its pair; reduce_char_embedding, which every frob_table calls, checks the field."""
+    rec = fetch_form(DataSource(mode="fixtures"), "189.2.p.a")  # x^2 - x + 1
+    other = split_primes(SQRT2, 7)[0]  # x^2 - 2 also splits at 7
+    with pytest.raises(ValueError, match="reduction map of another field"):
+        reduce_char_embedding(rec, other)
+    with pytest.raises(ValueError, match="reduction map of another field"):
+        frob_table(rec, other, 100)
+    for own in split_primes(rec.field_poly, 7):
+        assert len(frob_table(rec, own, 100)) == len([p for p in primes_upto(100) if 189 * 7 % p])

@@ -8,10 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from hassecheck import pipeline
+from hassecheck import nfdata, pipeline
 from hassecheck.dchar import DirichletCharacter, UnitGroupBasis
 from hassecheck.lmfdb import DataSource, fetch_form, fixture_dir
-from hassecheck.nfdata import DataCoverageError, NewformRecord, QuadElement, split_primes
+from hassecheck.nfdata import DataCoverageError, NewformRecord, split_primes
 from hassecheck.pipeline import (
     analyze_ideal,
     congruence_check,
@@ -36,9 +36,9 @@ def rmaps(rec, ell=7):
     return split_primes((rec.m0, rec.m1, 1), ell)
 
 
-def conjugate(x: QuadElement) -> QuadElement:
-    """The Galois conjugate of x: g + g' = -m1."""
-    return QuadElement(x.c0 - x.m1 * x.c1, -x.c1, x.m0, x.m1)
+def conjugate(x, m1):
+    """The Galois conjugate of the pair x in a field x^2 + m1 x + m0: g + g' = -m1."""
+    return (x[0] - m1 * x[1], -x[1])
 
 
 @pytest.mark.parametrize("level, ell", [(1, 2), (49, 7), (189, 7), (7938, 13), (2310, 13), (9099, 11)])
@@ -93,13 +93,13 @@ def _engineered_reducible():
     ap = {}
     for p in [q for q in range(2, 230) if is_prime(q)]:
         if p == 7 or p == 11:
-            ap[p] = QuadElement.make(0, 0, -2, 0)
+            ap[p] = (0, 0)
             continue
         c = pow(p, 3, 7)  # order-2 character mod 7 as +-1 in F_7
         val = (c + p * pow(c, -1, 7)) % 7
         # embed diagonally: x + 0*sqrt2 with x = val at both roots
         x = val if val <= 3 else val - 7
-        ap[p] = QuadElement.make(x, 0, -2, 0)
+        ap[p] = (x, 0)
     return NewformRecord(
         label="77.2.a.x",
         level=77,
@@ -162,18 +162,18 @@ def test_analyze_ideal_reduces_the_character_embedding_once(monkeypatch):
     """zeta is reduced once per ideal and eps(p) read in F_l: no coefficient-ring powers."""
     rec = fetch_form(SRC, "189.2.p.a")
     embeddings, products = [], []
-    char_embedding, mul = NewformRecord.char_embedding, QuadElement.__mul__
+    char_embedding, ring_mul = NewformRecord.char_embedding, nfdata.ring_mul
 
     def counted_embedding(self):
         embeddings.append(self.label)
         return char_embedding(self)
 
-    def counted_mul(self, other):
-        products.append(other)
-        return mul(self, other)
+    def counted_mul(x, y, m0, m1):
+        products.append(y)
+        return ring_mul(x, y, m0, m1)
 
     monkeypatch.setattr(NewformRecord, "char_embedding", counted_embedding)
-    monkeypatch.setattr(QuadElement, "__mul__", counted_mul)
+    monkeypatch.setattr(nfdata, "ring_mul", counted_mul)
     for rmap in rmaps(rec):
         embeddings.clear()
         products.clear()
@@ -326,14 +326,12 @@ def test_order_changing_within_the_margin_of_the_bound_is_undetermined(label, la
 
 def test_root_relabeling_commutes_with_conjugation():
     rec = fetch_form(SRC, "189.2.p.a")
-    conj_ap = {p: conjugate(v) for p, v in rec.ap.items()}
-    zeta = QuadElement.make(rec.zeta_in_field[0], rec.zeta_in_field[1], rec.m0, rec.m1)
-    zc = conjugate(zeta)
+    conj_ap = {p: conjugate(v, rec.m1) for p, v in rec.ap.items()}
     rec_conj = NewformRecord(
         label=rec.label, level=rec.level, weight=rec.weight, char=rec.char,
         field_poly=rec.field_poly, ap=conj_ap, cm=rec.cm, cm_disc=rec.cm_disc,
         inner_twist_count=rec.inner_twist_count, ap_max_prime=rec.ap_max_prime,
-        zeta_in_field=(int(zc.c0), int(zc.c1)),
+        zeta_in_field=conjugate(rec.zeta, rec.m1),
     )
     from hassecheck.pipeline import analyze_ideal
 
@@ -459,6 +457,15 @@ def test_scan_decides_whether_ell_splits_once_per_form(monkeypatch):
         "20.2.e.a": "inert",
         "56.2.e.a": "ramified",
     }
+
+
+def test_scan_rows_follow_lmfdb_letter_order():
+    # orbit and form letters count in base 26, so z comes before ba; a malformed label goes last
+    ordered = ["9.2.a.z", "9.2.a.ba", "9.2.b.a", "10.2.a.a", "not-a-label"]
+    assert sorted(reversed(ordered), key=pipeline._label_sort_key) == ordered
+    rows = scan(SRC, 7, labels=["not-a-label", "10.2.a.a", "9.2.a.ba", "9.2.b.a", "9.2.a.z"])
+    assert [r["label"] for r in rows] == ordered
+    assert all("error" in r for r in rows)  # none of them is a fixture
 
 
 def test_scan_turns_analysis_failures_into_error_rows(tmp_path):

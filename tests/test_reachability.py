@@ -64,8 +64,6 @@ UNREACHED = {
     "matgrp.MatrixGroup.to_json": ORACLE + ": tests write group files",
     "matgrp.BlockClasses.__len__": ORACLE + ": tests count the block sum's classes",
     "nfdata.NewformRecord.char_embedding": ORACLE + ": eps(n) in the coefficient ring, the frob oracle's reference",
-    "nfdata.QuadElement.__add__": ORACLE + ": coefficient-ring arithmetic in tests",
-    "nfdata.QuadElement.__sub__": ORACLE + ": coefficient-ring arithmetic in tests",
     "dchar.RingEmbedding.zero": ORACLE + ": evaluate's value at n sharing a factor with N, which tests ask for",
 }
 
