@@ -134,8 +134,7 @@ def fetch_form(source: DataSource, label: str, bound: int | None = None) -> Newf
         raise NotFoundError(f"label {label} not cached and network disabled")
 
     payload = source._get(f"{source.base_url}/mf_newforms/", _query_newform(label))
-    rec_dict = translate_newform(payload, label, bound, source)
-    rec = NewformRecord.from_dict(rec_dict)
+    rec = translate_newform(payload, label, bound, source)
     if rec.ap_max_prime < bound:
         raise PartialDataError(label, bound, rec.ap_max_prime)
     cpath.parent.mkdir(parents=True, exist_ok=True)
@@ -227,16 +226,19 @@ def translate_labels(payload: dict) -> list[str]:
         raise TransportError(f"malformed candidate payload: {str(payload)[:200]}") from exc
 
 
-def translate_newform(payload: dict, label: str, bound: int, source: DataSource) -> dict:
-    """Map an upstream newform object (plus its eigenvalue data) to our schema."""
+def translate_newform(payload: dict, label: str, bound: int, source: DataSource) -> NewformRecord:
+    """Map an upstream newform object (plus its eigenvalue data) to a record.
+
+    Upstream values pass through as JSON gave them, so the record's type
+    checks see them: a level of 189.7 or an is_cm of "false" is a malformed
+    payload, not a truncated or a truthy value.
+    """
     try:
         row = payload["data"][0]
-        level = int(row["level"])
-        weight = int(row["weight"])
-        field_poly = row["field_poly"]  # [c0, c1, 1]
+        level = row["level"]
         char = {
             "modulus": level,
-            "zeta_order": int(row["char_order"]),
+            "zeta_order": row["char_order"],
             "generator_images": [
                 {"generator": g, "exponent": e}
                 for g, e in zip(row["char_gens"], row["char_values"])
@@ -247,7 +249,9 @@ def translate_newform(payload: dict, label: str, bound: int, source: DataSource)
             {"label": label, "_format": "json", "_fields": "ap,maxp"},
         )["data"][0]
         ap_rows = hecke["ap"]
-        maxp = int(hecke["maxp"])
+        maxp = hecke["maxp"]
+        if type(maxp) is not int:  # primes_upto's cache would take 97.0 for 97
+            raise ValueError(f"maxp must be a JSON int, not {maxp!r}")
         primes = primes_upto(maxp)
         ap = [
             {"p": p, "coeffs": [exact_rational(c[0]), exact_rational(c[1])]}
@@ -256,19 +260,19 @@ def translate_newform(payload: dict, label: str, bound: int, source: DataSource)
         ]
         received = primes[: len(ap_rows)]  # a short list covers only its own primes
         covered = maxp if received == primes else max(received, default=1)
-        return {
+        return NewformRecord.from_dict({
             "label": label,
             "level": level,
-            "weight": weight,
+            "weight": row["weight"],
             "char": char,
-            "field_poly": field_poly,
+            "field_poly": row["field_poly"],  # [c0, c1, 1]
             "ap": ap,
-            "cm": bool(row.get("is_cm")),
+            "cm": row.get("is_cm", False),
             "cm_disc": row.get("cm_disc"),
-            "inner_twist_count": int(row.get("inner_twist_count", 1)),
+            "inner_twist_count": row.get("inner_twist_count", 1),
             "ap_max_prime": min(covered, bound if bound else covered),
             "zeta_in_field": row.get("zeta_in_field"),
             "provenance": "fetched",
-        }
+        })
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise TransportError(f"malformed newform payload: {str(payload)[:200]}") from exc
+        raise TransportError(f"malformed newform payload ({exc}): {str(payload)[:200]}") from exc

@@ -277,11 +277,22 @@ def charpoly(m: tuple, dim: int, p: int) -> tuple:
     c_k is the sum of the k x k principal minors: the trace first, the
     determinant last.  The formulas use ring operations only, so they hold
     for every p, 2 and 3 included.
+
+    A dim-4 matrix whose eight entries off the two diagonal 2x2 blocks are
+    all 0 (a block sum A + B) has det(x*I - m) = det(x*I - A) det(x*I - B),
+    so its coefficients are those of the product of the blocks'
+    polynomials x^2 - tA x + dA and x^2 - tB x + dB: (tA + tB,
+    dA + dB + tA tB, tA dB + tB dA, dA dB).  That is an identity of
+    polynomials over the integers, exact mod every p; any other matrix
+    takes the general formula.
     """
     if dim == 2:
         a, b, c, d = m
         return ((a + d) % p, (a * d - b * c) % p)
     a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = m
+    if not (a02 or a03 or a12 or a13 or a20 or a21 or a30 or a31):
+        ta, da, tb, db = a00 + a11, a00 * a11 - a01 * a10, a22 + a33, a22 * a33 - a23 * a32
+        return ((ta + tb) % p, (da + db + ta * tb) % p, (ta * db + tb * da) % p, da * db % p)
     # 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair
     t01 = a00 * a11 - a01 * a10
     t02 = a00 * a12 - a02 * a10

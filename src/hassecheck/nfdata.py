@@ -291,16 +291,25 @@ class NewformRecord:
             typed(item["p"], int, "p"): (exact_rational(item["coeffs"][0]), exact_rational(item["coeffs"][1]))
             for item in data["ap"]
         }
+        char = data["char"]
+        for name in ("modulus", "zeta_order"):
+            typed(char[name], int, name)
+        for image in char["generator_images"]:
+            typed(image["generator"], int, "generator")
+            typed(image["exponent"], int, "exponent")
+        cm_disc = data.get("cm_disc")
+        if cm_disc is not None:
+            typed(cm_disc, int, "cm_disc")
         zeta = data.get("zeta_in_field")
         record = NewformRecord(
             label=label,
             level=typed(data["level"], int, "level"),
             weight=typed(data["weight"], int, "weight"),
-            char=DirichletCharacter.from_dict(data["char"]),
+            char=DirichletCharacter.from_dict(char),
             field_poly=(m0, m1, 1),
             ap=ap,
             cm=typed(data["cm"], bool, "cm"),
-            cm_disc=data.get("cm_disc"),
+            cm_disc=cm_disc,
             inner_twist_count=typed(data["inner_twist_count"], int, "inner_twist_count"),
             ap_max_prime=typed(data["ap_max_prime"], int, "ap_max_prime"),
             zeta_in_field=tuple(zeta) if zeta else None,

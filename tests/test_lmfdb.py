@@ -272,6 +272,31 @@ def test_malformed_upstream_coefficient_is_a_transport_error(tmp_path):
         fetch_form(_http_source(tmp_path, newform, hecke), "189.2.p.a", bound=100)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("level", 189.7),  # int() read 189
+    ("weight", 2.9),
+    ("char_order", 6.0),
+    ("inner_twist_count", 1.5),
+    ("is_cm", "false"),  # bool() read True
+    ("maxp", 100.0),
+])
+def test_upstream_value_of_the_wrong_json_type_is_a_transport_error(tmp_path, field, value):
+    record = fetch_form(fixtures_source(), "189.2.p.a")
+    newform, hecke = _upstream_payloads(record, 100)
+    (hecke if field == "maxp" else newform)["data"][0][field] = value
+    with pytest.raises(TransportError, match="must be a JSON"):
+        fetch_form(_http_source(tmp_path, newform, hecke), "189.2.p.a", bound=100)
+    assert not (tmp_path / "forms" / "189.2.p.a.json").exists()
+
+
+def test_absent_is_cm_and_inner_twist_count_read_false_and_1(tmp_path):
+    record = fetch_form(fixtures_source(), "189.2.c.a")
+    newform, hecke = _upstream_payloads(record, 100)
+    del newform["data"][0]["is_cm"], newform["data"][0]["inner_twist_count"]
+    fetched = fetch_form(_http_source(tmp_path, newform, hecke), "189.2.c.a", bound=100)
+    assert (fetched.cm, fetched.inner_twist_count) == (False, 1)
+
+
 def test_fetch_below_the_requested_bound_is_partial_data(tmp_path):
     record = fetch_form(fixtures_source(), "189.2.p.a")
     newform, hecke = _upstream_payloads(record, 100)

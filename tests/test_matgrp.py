@@ -1,6 +1,7 @@
 """Matrix groups over F_l: closures, projectivisation, fixed points."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -293,19 +294,69 @@ def test_has_eigenvalue_matches_the_scan_on_random_dim4_matrices(p):
     assert singular > 0
 
 
+def assert_charpoly_matches_determinants(m: tuple, dim: int, p: int):
+    # det(lam*I - m) = det(m - lam*I) in even dim; its values at dim + 1
+    # points pin all dim coefficients
+    coeffs = charpoly(m, dim, p)
+    for lam in range(dim + 1):
+        value = lam**dim + sum((-1) ** k * c * lam ** (dim - k) for k, c in enumerate(coeffs, 1))
+        assert value % p == mat_det(shifted(m, dim, lam, p), dim, p), m
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_charpoly_matches_determinants(dim):
-    # det(lam*I - m) = det(m - lam*I) in even dim; its values at dim points
-    # pin all dim coefficients, and a large prime keeps the integer identity
-    # visible
+    # a large prime keeps the integer identity visible
     p = 10007
     rng = random.Random(dim)
     for _ in range(200):
-        m = tuple(rng.randrange(p) for _ in range(dim * dim))
-        coeffs = charpoly(m, dim, p)
-        for lam in range(dim + 1):
-            value = lam**dim + sum((-1) ** k * c * lam ** (dim - k) for k, c in enumerate(coeffs, 1))
-            assert value % p == mat_det(shifted(m, dim, lam, p), dim, p)
+        assert_charpoly_matches_determinants(tuple(rng.randrange(p) for _ in range(dim * dim)), dim, p)
+
+
+OFF_BLOCK = (2, 3, 6, 7, 8, 9, 12, 13)  # the entries of a dim-4 matrix outside its two diagonal 2x2 blocks
+
+
+def block_matrix(a: tuple, b: tuple) -> tuple:
+    """The dim-4 block sum of two 2x2 matrices."""
+    return (a[0], a[1], 0, 0, a[2], a[3], 0, 0, 0, 0, b[0], b[1], 0, 0, b[2], b[3])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_block_charpoly_matches_the_dense_formula_on_every_block_matrix(p):
+    # swapping basis vectors 1 and 2 is a similarity, so it keeps the
+    # polynomial, and it moves a01, a10, a23 and a32 off the blocks: the
+    # conjugate of a non-diagonal block matrix takes the dense formula
+    swap = (0, 2, 1, 3)
+    dense = 0
+    for entries in itertools.product(range(p), repeat=8):
+        m = block_matrix(entries[:4], entries[4:])
+        conj = tuple(m[swap[i] * 4 + swap[j]] for i in range(4) for j in range(4))
+        if any(conj[i] for i in OFF_BLOCK):
+            dense += 1
+            assert charpoly(m, 4, p) == charpoly(conj, 4, p), m
+        else:  # diagonal, and so is its conjugate: the coefficients are the elementary symmetric sums
+            diag = m[::5]
+            expected = tuple(
+                sum(math.prod(c) for c in itertools.combinations(diag, k)) % p for k in range(1, 5)
+            )
+            assert charpoly(m, 4, p) == expected, m
+    assert dense == p**8 - p**4
+
+
+def test_block_and_near_block_charpolys_match_determinants():
+    p = 10007
+    rng = random.Random(31)
+    for _ in range(200):
+        m = block_matrix(*(tuple(rng.randrange(p) for _ in range(4)) for _ in range(2)))
+        assert_charpoly_matches_determinants(m, 4, p)
+        # one entry off the blocks leaves m block-triangular, whose polynomial
+        # is still the blocks' product; one entry above and one below the
+        # blocks is not, so a block test that skips such a pair fails here
+        upper, lower = OFF_BLOCK[:4], OFF_BLOCK[4:]
+        for nonzero in [(i,) for i in OFF_BLOCK] + list(itertools.product(upper, lower)):
+            near = list(m)
+            for i in nonzero:
+                near[i] = rng.randrange(1, p)
+            assert_charpoly_matches_determinants(tuple(near), 4, p)
 
 
 def test_proj_canonical_first_nonzero_entry_is_one():

@@ -333,7 +333,15 @@ def test_record_json_round_trip_keeps_non_integral_coefficients():
     ("ap_max_prime", lambda d: d.update(ap_max_prime=1009.5)),
     ("inner_twist_count", lambda d: d.update(inner_twist_count=1.5)),
     ("cm", lambda d: d.update(cm="false")),  # bool("false") is True
-], ids=["field_poly", "field_poly-lead", "level", "weight", "p", "ap_max_prime", "inner_twist_count", "cm"])
+    ("cm_disc", lambda d: d.update(cm_disc="-3")),
+    ("modulus", lambda d: d["char"].update(modulus=189.0)),
+    ("zeta_order", lambda d: d["char"].update(zeta_order=6.0)),
+    ("generator", lambda d: d["char"]["generator_images"][0].update(generator=29.0)),  # 29.0 == 29 as a dict key
+    ("exponent", lambda d: d["char"]["generator_images"][1].update(exponent=True)),
+], ids=[
+    "field_poly", "field_poly-lead", "level", "weight", "p", "ap_max_prime", "inner_twist_count", "cm",
+    "cm_disc", "modulus", "zeta_order", "generator", "exponent",
+])
 def test_record_rejects_a_field_of_the_wrong_json_type(field, change):
     data = fetch_form(DataSource(mode="fixtures"), "189.2.p.a").to_dict()
     change(data)
