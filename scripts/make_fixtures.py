@@ -441,7 +441,7 @@ def orbit_letter(rec: dict) -> str:
     def trace_vector(orbit, o):
         steps = [e * o // og for e, og in zip(min(orbit), orders)]  # chi(g_i) = zeta_o^step_i
         return tuple(
-            trace_of_root(o, sum(s * x for s, x in zip(steps, basis.dlog_table[j % n])))
+            trace_of_root(o, sum(s * t[j % q] for s, (q, t) in zip(steps, basis.dlog_tables)))
             if math.gcd(j, n) == 1 else 0
             for j in range(1, n + 1)
         )

@@ -9,8 +9,9 @@ same prime-ideal map as the Fourier coefficients it accompanies.
 Generators follow the usual CRT convention: for each odd prime power p^k
 dividing N, the smallest primitive root mod p^k lifted to be 1 at the other
 factors; for 4 the class of -1; for 2^k (k >= 3) the classes of -1 and 5.
-Discrete logs are read from one table per modulus, enumerated by brute
-force, which is fine for the moduli in scope.
+A generator at q is 1 mod N/q, so its exponent in a unit a depends on a mod q
+only: discrete logs are read from one table of the phi(q) units mod q per
+generator, never from a table of all phi(N) units mod N.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
-from operator import mul
 
 from .ffield import factorize, primitive_root
 
@@ -38,6 +38,23 @@ def _crt_lift(residue: int, q: int, modulus: int) -> int:
     return x
 
 
+def _local_generators(n: int):
+    """(q, ((g mod q, order), ...)) for each prime power q || n, ascending.
+
+    The generators of (Z/q)^x under the module's convention; q = 2 has none.
+    """
+    for p, k in sorted(factorize(n).items()):
+        q = p**k
+        if p != 2:
+            yield q, ((primitive_root(q), q - q // p),)
+        elif k == 1:
+            yield q, ()
+        elif k == 2:
+            yield q, ((3, 2),)
+        else:
+            yield q, ((q - 1, 2), (5, q // 4))
+
+
 @dataclass(frozen=True)
 class UnitGroupBasis:
     modulus: int
@@ -49,36 +66,28 @@ class UnitGroupBasis:
     def for_modulus(n: int) -> "UnitGroupBasis":
         if n < 1:
             raise ValueError("modulus must be positive")
-        gens: list[int] = []
-        orders: list[int] = []
-        for p, k in sorted(factorize(n).items()):
-            q = p**k
-            if p == 2:
-                if k == 1:
-                    continue
-                if k == 2:
-                    gens.append(_crt_lift(3, 4, n))
-                    orders.append(2)
-                else:
-                    gens.append(_crt_lift(q - 1, q, n))
-                    orders.append(2)
-                    gens.append(_crt_lift(5, q, n))
-                    orders.append(2 ** (k - 2))
-            else:
-                g = primitive_root(q)
-                gens.append(_crt_lift(g, q, n))
-                orders.append(q - q // p)
-        return UnitGroupBasis(n, tuple(gens), tuple(orders))
+        lifted = [(_crt_lift(g, q, n), o) for q, gens in _local_generators(n) for g, o in gens]
+        return UnitGroupBasis(n, tuple(g for g, _ in lifted), tuple(o for _, o in lifted))
 
     @cached_property
-    def dlog_table(self) -> dict:
-        """Unit residue -> exponent vector, enumerated once per basis."""
-        n = self.modulus
-        table = {1 % n: ()}
-        for g, og in zip(self.generators, self.orders):
-            powers = [pow(g, e, n) for e in range(og)]
-            table = {acc * x % n: exps + (e,) for acc, exps in table.items() for e, x in enumerate(powers)}
-        return table
+    def dlog_tables(self) -> tuple:
+        """(q, table) per generator, in order, built once per basis.
+
+        q is the generator's prime power and table maps each unit residue
+        a mod q to the generator's exponent in a.  When 2 || N a last table
+        {1: 0} mod 2 stands for (Z/2)^x, which has no generator, so that an
+        even a misses a table as every other non-unit does.
+        """
+        tables = []
+        for q, gens in _local_generators(self.modulus):
+            logs = {1 % q: ()}
+            for g, og in gens:
+                powers = [pow(g, e, q) for e in range(og)]
+                logs = {acc * x % q: exps + (e,) for acc, exps in logs.items() for e, x in enumerate(powers)}
+            tables += [(q, {a: exps[i] for a, exps in logs.items()}) for i in range(len(gens))]
+        if self.modulus % 4 == 2:
+            tables.append((2, {1: 0}))
+        return tuple(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +130,21 @@ class DirichletCharacter:
     def modulus(self) -> int:
         return self.basis.modulus
 
+    @cached_property
+    def _dlog_reads(self) -> tuple:
+        """(q, table, e) per table of the basis, with e chi's exponent at the
+        table's generator (0 at the table for 2 || N, which has none)."""
+        return tuple((q, table, e) for (q, table), e in zip(self.basis.dlog_tables, self.exponents + (0,)))
+
     def exponent_at(self, a: int):
         """Exponent k with chi(a) = zeta^k, or None when gcd(a, N) > 1."""
-        dl = self.basis.dlog_table.get(a % self.basis.modulus)
-        if dl is None:
-            return None
-        return sum(map(mul, self.exponents, dl)) % self.zeta_order
+        k = 0
+        for q, table, e in self._dlog_reads:
+            x = table.get(a % q)
+            if x is None:
+                return None
+            k += e * x
+        return k % self.zeta_order
 
     def order(self) -> int:
         m = self.zeta_order
@@ -159,9 +177,13 @@ class DirichletCharacter:
         """The residues a mod N with chi(a) = -1, read through sign_value.
 
         chi(n) = -1 exactly when n % N is in the set, so a sweep over many n
-        pays for one table of N entries; raises as sign_value does for a
-        character of order > 2.
+        pays for one table of N entries, built on the first call; raises as
+        sign_value does for a character of order > 2, on every call.
         """
+        return self._minus_residues
+
+    @cached_property
+    def _minus_residues(self) -> frozenset:
         return frozenset(a for a in range(self.modulus) if self.sign_value(a) == -1)
 
     def to_dict(self):

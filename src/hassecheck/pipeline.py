@@ -103,11 +103,13 @@ def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
             certificates[chi.exponents] = violation
     if survivor is None:
         return {"reducible": False, "character": None, "certificates": certificates}
-    # order of the ratio character chi'/chi = omega*eps/chi^2 on the table
-    ratio_order = 1
+    # order of the ratio character chi'/chi = omega*eps/chi^2 on the table:
+    # one mul_order per distinct ratio residue (at most l - 1 of them)
+    ratios = set()
     for p, fd in frob.items():
         k = survivor.exponent_at(p)
-        ratio_order = lcm(ratio_order, mul_order(FieldElement(fd.det * up[-k] * up[-k], ell)))
+        ratios.add(fd.det * up[-k] * up[-k] % ell)
+    ratio_order = lcm(*(mul_order(FieldElement(r, ell)) for r in ratios))
     return {
         "reducible": True,
         "character": survivor,

@@ -2,12 +2,14 @@
 
 import json
 from itertools import product
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from hassecheck import dchar
 from hassecheck.dchar import (
     DirichletCharacter,
     EmbeddingError,
@@ -19,8 +21,9 @@ from hassecheck.dchar import (
     quadratic_characters,
     twist_modulus,
 )
+from hassecheck.ffield import factorize
 from hassecheck.lmfdb import DataSource, fetch_form
-from hassecheck.nfdata import ring_mul
+from hassecheck.nfdata import primes_upto, ring_mul
 
 # zeta_6 -> 3, a generator of F_7^x: the powers 3^k mod 7
 F7 = RingEmbedding([pow(3, k, 7) for k in range(6)], 0)
@@ -43,14 +46,15 @@ def test_quadratic_characters_mod_21():
 def test_quadratic_characters_match_a_brute_force_enumeration():
     for q in range(1, 201):
         basis = UnitGroupBasis.for_modulus(q)
+        logs = old_dlog_table(basis)
         brute = []
         for exps in product(range(2), repeat=len(basis.generators)):
             # a +-1 function of the discrete logs is a character exactly when
             # chi(a * g) = chi(a) * chi(g) for every unit a and generator g
             def sign(a):
-                return (-1) ** sum(e * x for e, x in zip(exps, basis.dlog_table[a % q]))
+                return (-1) ** sum(e * x for e, x in zip(exps, logs[a % q]))
 
-            if all(sign(a * g) == sign(a) * sign(g) for a in basis.dlog_table for g in basis.generators):
+            if all(sign(a * g) == sign(a) * sign(g) for a in logs for g in basis.generators):
                 brute.append(DirichletCharacter(basis, 2, exps))
         brute.sort(key=lambda c: (c.conductor(), c.exponents))
         assert quadratic_characters(q) == brute, q
@@ -97,6 +101,15 @@ def test_minus_residues_reject_a_character_of_order_above_2():
                 chi.minus_residues()
         else:
             assert (chi.order() == 1) == (chi.minus_residues() == frozenset())
+
+
+def test_minus_residues_are_built_once_per_character():
+    for alpha in quadratic_characters(21):
+        assert alpha.minus_residues() is alpha.minus_residues()
+    chi = next(c for c in fl_valued_characters(63, 7) if c.order() > 2)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            chi.minus_residues()
 
 
 def test_fl_valued_counts():
@@ -175,11 +188,79 @@ def test_conductor_matches_the_former_loop_below_400():
     assert count == 5996
 
 
+def table_vector(basis, a):
+    """The generators' exponents in a read from basis.dlog_tables, or None when a table misses."""
+    xs = [table.get(a % q) for q, table in basis.dlog_tables]
+    return None if None in xs else tuple(xs[: len(basis.generators)])
+
+
+def probe_characters(basis):
+    """One character per generator whose exponent is that generator's log, and one summing them."""
+    orders = basis.orders
+    m = lcm(*orders)
+    chars = [DirichletCharacter(basis, o, tuple(int(i == j) for j in range(len(orders)))) for i, o in enumerate(orders)]
+    return chars + [DirichletCharacter(basis, m, tuple(m // o for o in orders))]
+
+
+def assert_exponents_match_the_former_recursion(chars, residues):
+    logs = old_dlog_table(chars[0].basis)
+    n = chars[0].modulus
+    for chi in chars:
+        for a in residues:
+            dl = logs.get(a % n)
+            want = None if dl is None else sum(e * x for e, x in zip(chi.exponents, dl)) % chi.zeta_order
+            assert chi.exponent_at(a) == want, (n, chi.exponents, a)
+
+
+FIXTURE_LEVELS = sorted({int(path.name.split(".")[0]) for path in (Path(dchar.__file__).parent / "fixtures").glob("*.json")})
+
+
 def test_dlog_table_matches_the_former_recursion_below_1200():
     for n in range(1, 1200):
         cached = UnitGroupBasis.for_modulus(n)
-        basis = UnitGroupBasis(n, cached.generators, cached.orders)  # its table is not kept
-        assert list(basis.dlog_table.items()) == list(old_dlog_table(basis).items()), n
+        basis = UnitGroupBasis(n, cached.generators, cached.orders)  # its tables are not kept
+        logs = old_dlog_table(basis)
+        for a in range(-3, n + 3):
+            assert table_vector(basis, a) == logs.get(a % n), (n, a)
+
+
+def test_exponent_at_matches_the_former_recursion_below_1200_and_at_the_fixture_levels():
+    assert FIXTURE_LEVELS == [20, 49, 56, 63, 81, 117, 189, 273, 2883, 7938, 9099]
+    for n in sorted(set(range(1, 1200)) | set(FIXTURE_LEVELS)):
+        basis = UnitGroupBasis.for_modulus(n)
+        chars = probe_characters(basis)
+        if n in FIXTURE_LEVELS:
+            chars += fl_valued_characters(n, 7)
+        assert_exponents_match_the_former_recursion(chars, range(-3, n + 3))
+
+
+def test_even_residues_are_non_units_at_every_even_modulus():
+    # 2 || N carries no generator, so the table mod 2 alone rejects an even a
+    for n in (1, 2, 4, 8, 16, *range(6, 1200, 4)):
+        evens = range(-2 * n, 2 * n + 1, 2)
+        chars = probe_characters(UnitGroupBasis.for_modulus(n))
+        for chi in chars:
+            assert all((chi.exponent_at(a) is None) == (n > 1) for a in evens), (n, chi.exponents)
+        assert_exponents_match_the_former_recursion(chars, evens)
+
+
+def test_brumer_kramer_levels_match_the_former_recursion_at_the_primes_below_1000():
+    # 2^8 5^2 7^2 and 2^8 3^5 7^2: the former table lists 107,520 and 870,912 units
+    for n in (313_600, 3_048_192):
+        basis = UnitGroupBasis.for_modulus(n)
+        assert_exponents_match_the_former_recursion(
+            probe_characters(basis) + fl_valued_characters(n, 7), primes_upto(1000)
+        )
+
+
+def test_tables_hold_phi_q_residues_per_generator():
+    # phi(q) for each q || N, twice at 2^k for k >= 3 (generators -1 and 5),
+    # once at 2 || N (the table that rejects even residues)
+    for n in (*range(1, 1200), *FIXTURE_LEVELS, 313_600, 3_048_192):
+        tables = UnitGroupBasis.for_modulus(n).dlog_tables
+        want = sum((q - q // p) * (2 if p == 2 and k >= 3 else 1) for p, k in factorize(n).items() for q in [p**k])
+        assert sum(len(table) for _, table in tables) == want, n
+    assert [len(table) for _, table in UnitGroupBasis.for_modulus(9099).dlog_tables] == [18, 336]
 
 
 def test_trivial_character_evaluates_to_one():
