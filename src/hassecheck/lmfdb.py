@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .nfdata import NewformRecord, default_bound, exact_rational, primes_upto
+from .nfdata import NewformRecord, default_bound, primes_upto
 
 DEFAULT_BASE_URL = "https://www.lmfdb.org/api"
 REQUEST_DELAY_S = 0.5  # pause before each real upstream request
@@ -254,7 +254,7 @@ def translate_newform(payload: dict, label: str, bound: int, source: DataSource)
             raise ValueError(f"maxp must be a JSON int, not {maxp!r}")
         primes = primes_upto(maxp)
         ap = [
-            {"p": p, "coeffs": [exact_rational(c[0]), exact_rational(c[1])]}
+            {"p": p, "coeffs": c}
             for p, c in zip(primes, ap_rows)
             if p <= bound
         ]

@@ -5,7 +5,9 @@ quadratic field, each the pair (c0, c1) of its coordinates over the basis
 {1, g}, with the field x^2 + m1 x + m0 held once; the nebentypus with an
 explicit image of its root of unity inside the coefficient ring; and the
 largest prime covered.  Reduction maps send g to a root of its minimal
-polynomial mod l; only the split, unramified case is supported.
+polynomial mod l; only the split, unramified case is supported.  Frobenius
+at a good prime p mod such an ideal is the plain pair (t, d) of residues in
+[0, l): the trace a_p and the determinant p*eps(p).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from functools import lru_cache
 from itertools import compress
 from math import floor, isqrt
 from numbers import Rational
-from typing import NamedTuple
 
 from .dchar import DirichletCharacter, RingEmbedding, evaluate, twist_modulus
 from .ffield import factorize, is_prime
@@ -74,10 +75,10 @@ class ReductionMap:
         """The residue of the pair x = (c0, c1), read as c0 + c1*g, in [0, ell)."""
         ell = self.ell
         c0, c1 = x
+        if type(c0) is int and type(c1) is int:
+            return (c0 + c1 * self.root) % ell
         num0, den0 = c0.numerator, c0.denominator
         num1, den1 = c1.numerator, c1.denominator
-        if den0 == 1 and den1 == 1:
-            return (num0 + num1 * self.root) % ell
         if den0 % ell == 0 or den1 % ell == 0:
             raise BadDenominatorError(f"denominator divisible by {ell}")
         return (num0 * pow(den0, -1, ell) + num1 * pow(den1, -1, ell) * self.root) % ell
@@ -163,32 +164,25 @@ def default_bound(level: int) -> int:
     return max(200, sturm_bound(level * q * q, 2))
 
 
-class FrobData(NamedTuple):
-    """Frobenius at p mod a prime ideal above ell: trace and det as residues in [0, ell)."""
+def repeated_eigenvalue(t: int, d: int, ell: int) -> bool:
+    """x^2 - t x + d has a double root mod ell.
 
-    p: int
-    trace: int
-    det: int
-    ell: int
-
-    @property
-    def repeated(self) -> bool:
-        """Trace data cannot separate scalar from unipotent-times-scalar."""
-        return (self.trace * self.trace - 4 * self.det) % self.ell == 0
+    Trace data then cannot separate a scalar from a unipotent times a scalar.
+    """
+    return (t * t - 4 * d) % ell == 0
 
 
-def projective_frob_order(fd: FrobData) -> int:
-    """Order in PGL2(F_l) of Frobenius: the order of its eigenvalue ratio.
+def projective_frob_order(t: int, d: int, ell: int) -> int:
+    """Order in PGL2(F_l) of a Frobenius with trace t and det d: the order of its eigenvalue ratio.
 
     A repeated eigenvalue counts as order 1: trace data cannot tell a scalar
-    from a unipotent times a scalar (the `repeated` flag records the
-    ambiguity).
+    from a unipotent times a scalar (see `repeated_eigenvalue`).
     """
-    if fd.det == 0:
+    if d == 0:
         raise ValueError("determinant must be nonzero")
-    if fd.repeated:
+    if repeated_eigenvalue(t, d, ell):
         return 1
-    return pgl2_order(fd.trace, fd.det, fd.ell)
+    return pgl2_order(t, d, ell)
 
 
 @dataclass(frozen=True)
@@ -215,9 +209,10 @@ class NewformRecord:
         return self.field_poly[1]
 
     def coefficient(self, p: int):
-        if p not in self.ap:
-            raise DataCoverageError(self.label, p, self.ap_max_prime)
-        return self.ap[p]
+        try:
+            return self.ap[p]
+        except KeyError:
+            raise DataCoverageError(self.label, p, self.ap_max_prime) from None
 
     @property
     def zeta(self) -> tuple:
@@ -287,10 +282,15 @@ class NewformRecord:
         m0, m1, lead = (typed(c, int, "field_poly") for c in data["field_poly"])
         if lead != 1:
             raise ValueError("field_poly must be monic")
-        ap = {
-            typed(item["p"], int, "p"): (exact_rational(item["coeffs"][0]), exact_rational(item["coeffs"][1]))
-            for item in data["ap"]
-        }
+        ap = {}
+        for item in data["ap"]:
+            p, coeffs = typed(item["p"], int, "p"), item["coeffs"]
+            if p in ap:
+                raise ValueError(f"{label}: a second a_p for p = {p}")
+            if type(coeffs) is not list or len(coeffs) != 2:
+                raise ValueError(f"{label}: a_p for p = {p} must be a list of two coordinates, not {coeffs!r}")
+            c0, c1 = coeffs
+            ap[p] = (c0 if type(c0) is int else exact_rational(c0), c1 if type(c1) is int else exact_rational(c1))
         char = data["char"]
         for name in ("modulus", "zeta_order"):
             typed(char[name], int, name)
@@ -367,8 +367,11 @@ def reduce_char_embedding(record: NewformRecord, rmap: ReductionMap) -> RingEmbe
     return RingEmbedding([pow(zeta, k, ell) for k in range(max(record.char.zeta_order, 1))], 0)
 
 
-def frob_charpoly(record: NewformRecord, p: int, rmap: ReductionMap, embed: RingEmbedding) -> FrobData:
-    """trace a_p and det p*eps(p) mod the ideal of rmap; embed is reduce_char_embedding(record, rmap)."""
+def frob_charpoly(record: NewformRecord, p: int, rmap: ReductionMap, embed: RingEmbedding) -> tuple[int, int]:
+    """(trace, det): a_p and p*eps(p) mod the ideal of rmap, as residues in [0, l).
+
+    embed is reduce_char_embedding(record, rmap).
+    """
     ell = rmap.ell
     if p == ell or record.level % p == 0:
         raise ValueError(f"p = {p} divides l*N; no Frobenius data")
@@ -376,4 +379,4 @@ def frob_charpoly(record: NewformRecord, p: int, rmap: ReductionMap, embed: Ring
     d = p * record.nebentypus_value(p, embed) % ell
     if d == 0:
         raise ValueError("vanishing determinant")
-    return FrobData(p, t, d, ell)
+    return t, d

@@ -1,13 +1,15 @@
 """Mod-l image analysis for newforms with quadratic coefficient fields.
 
-Per prime ideal above l the analysis runs: quadratic-twist detection
-(dihedral evidence), a reducibility sweep over all F_l-valued characters of
-modulus dividing the level (a finite certificate either way), dihedral-order
-determination from eigenvalue-ratio orders, and an irreducible-Frobenius
-witness.  The final verdict combines both ideals.  Everything is trace-level
-evidence at an explicit prime bound; nothing here claims a proof of the
-actual image, and the reports say so via flags rather than silently
-upgrading confidence.
+Per prime ideal above l, Frobenius is one table {p: (t, d)} of the trace
+a_p and the determinant p*eps(p) as residues mod l at every good prime up to
+the bound, and every stage reads only that table.  The analysis runs:
+quadratic-twist detection (dihedral evidence), a reducibility sweep over all
+F_l-valued characters of modulus dividing the level (a finite certificate
+either way), dihedral-order determination from eigenvalue-ratio orders, and
+an irreducible-Frobenius witness.  The final verdict combines both ideals.
+Everything is trace-level evidence at an explicit prime bound; nothing here
+claims a proof of the actual image, and the reports say so via flags rather
+than silently upgrading confidence.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .hasse import lemma31_carrier, sutherland_dihedral
 from .lmfdb import DataSource, fetch_form, list_fixture_labels, matches, query_candidates
 from .nfdata import (
     DataCoverageError,
-    FrobData,
     NewformRecord,
     RamifiedPrimeError,
     ReductionMap,
@@ -32,6 +33,7 @@ from .nfdata import (
     projective_frob_order,
     reduce_char_embedding,
     reduce_coeff,
+    repeated_eigenvalue,
     split_primes,
     sturm_bound,
 )
@@ -45,11 +47,12 @@ def test_primes(level: int, ell: int, bound: int) -> list[int]:
     return [p for p in primes_upto(bound) if excl % p != 0]
 
 
-def frob_table(record: NewformRecord, rmap: ReductionMap, bound: int) -> dict[int, FrobData]:
-    """Frobenius data mod the ideal of rmap at every good prime p <= bound.
+def frob_table(record: NewformRecord, rmap: ReductionMap, bound: int) -> dict[int, tuple[int, int]]:
+    """Frobenius mod the ideal of rmap at every good prime p <= bound, as {p: (t, d)}.
 
-    trace is a_p and det is p*eps(p), both reduced once here, eps(p) through
-    zeta reduced once for the ideal; every stage below reads only this table.
+    t is a_p and d is p*eps(p), both residues in [0, l) reduced once here,
+    eps(p) through zeta reduced once for the ideal.  Every stage below reads
+    only such a table, so any exact source of (t, d) mod l can fill one.
     """
     if record.ap_max_prime < bound:
         raise DataCoverageError(record.label, bound, record.ap_max_prime)
@@ -57,7 +60,7 @@ def frob_table(record: NewformRecord, rmap: ReductionMap, bound: int) -> dict[in
     return {p: frob_charpoly(record, p, rmap, embed) for p in test_primes(record.level, rmap.ell, bound)}
 
 
-def detect_twist(frob: dict[int, FrobData], level: int):
+def detect_twist(frob: dict[int, tuple[int, int]], level: int):
     """First nontrivial quadratic self-twist candidate surviving every test.
 
     A character alpha mod q survives when reduce(a_p) = 0 at every tested
@@ -69,12 +72,12 @@ def detect_twist(frob: dict[int, FrobData], level: int):
         if alpha.is_trivial():
             continue
         minus = alpha.minus_residues()
-        if all(fd.trace == 0 for p, fd in frob.items() if p % q in minus):
+        if all(t == 0 for p, (t, d) in frob.items() if p % q in minus):
             return alpha, kernel_field_disc(alpha)
     return None
 
 
-def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
+def exclude_reducible(frob: dict[int, tuple[int, int]], level: int, ell: int) -> dict:
     """Sweep all F_l-valued characters mod N against the reducibility congruence.
 
     A reducible representation would satisfy a_p = chi(p) + p*eps(p)/chi(p)
@@ -91,9 +94,9 @@ def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
     survivor = None
     for chi in dchar.fl_valued_characters(level, ell):
         violation = None
-        for p, fd in frob.items():
+        for p, (t, d) in frob.items():
             k = chi.exponent_at(p)
-            if fd.trace != (up[k] + fd.det * up[-k]) % ell:
+            if t != (up[k] + d * up[-k]) % ell:
                 violation = p
                 break
         if violation is None:
@@ -106,9 +109,9 @@ def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
     # order of the ratio character chi'/chi = omega*eps/chi^2 on the table:
     # one mul_order per distinct ratio residue (at most l - 1 of them)
     ratios = set()
-    for p, fd in frob.items():
+    for p, (t, d) in frob.items():
         k = survivor.exponent_at(p)
-        ratios.add(fd.det * up[-k] * up[-k] % ell)
+        ratios.add(d * up[-k] * up[-k] % ell)
     ratio_order = lcm(*(mul_order(FieldElement(r, ell)) for r in ratios))
     return {
         "reducible": True,
@@ -118,7 +121,7 @@ def exclude_reducible(frob: dict[int, FrobData], level: int, ell: int) -> dict:
     }
 
 
-def dihedral_order(frob: dict[int, FrobData], alpha: DirichletCharacter, ell: int, bound: int) -> dict:
+def dihedral_order(frob: dict[int, tuple[int, int]], alpha: DirichletCharacter, ell: int, bound: int) -> dict:
     """lcm of eigenvalue-ratio orders over alpha-split primes, with audit data.
 
     Repeated-eigenvalue primes are skipped (flagged); the stabilization
@@ -132,14 +135,14 @@ def dihedral_order(frob: dict[int, FrobData], alpha: DirichletCharacter, ell: in
     last_change = None
     used = 0
     skipped_repeated = []
-    for p, fd in frob.items():
+    for p, (t, d) in frob.items():
         if p % q in minus:
             continue
-        if fd.repeated:
+        if repeated_eigenvalue(t, d, ell):
             skipped_repeated.append(p)
             continue
         used += 1
-        n2 = lcm(n, projective_frob_order(fd))
+        n2 = lcm(n, projective_frob_order(t, d, ell))
         if n2 != n:
             n = n2
             last_change = p
@@ -155,13 +158,13 @@ def dihedral_order(frob: dict[int, FrobData], alpha: DirichletCharacter, ell: in
     }
 
 
-def not_borel_witness(frob: dict[int, FrobData]):
-    """Least good prime whose Frobenius characteristic polynomial is irreducible.
+def not_borel_witness(frob: dict[int, tuple[int, int]], ell: int):
+    """Least good prime whose Frobenius characteristic polynomial is irreducible mod ell.
 
     That is a non-square discriminant t^2 - 4d, by Euler's criterion.
     """
-    for p, fd in frob.items():
-        if legendre(fd.trace * fd.trace - 4 * fd.det, fd.ell) == -1:
+    for p, (t, d) in frob.items():
+        if legendre(t * t - 4 * d, ell) == -1:
             return p
     return None
 
@@ -243,7 +246,7 @@ def analyze_ideal(record: NewformRecord, rmap: ReductionMap, bound: int) -> Imag
     report = ImageReport(record.label, rmap.ell, rmap.root, rmap.ideal_display(), "not_dihedral")
     twist = detect_twist(frob, record.level)
     red = exclude_reducible(frob, record.level, rmap.ell)
-    report.not_borel_witness = not_borel_witness(frob)
+    report.not_borel_witness = not_borel_witness(frob, rmap.ell)
     if red["reducible"]:
         report.status = "possibly_reducible"
         report.reducible_character = red["character"]

@@ -389,7 +389,8 @@ def test_scan_at_ell_13_matches_the_golden_cm_rows(capsys):
     cm = {path.stem for path in fixture_dir().glob("*.json") if json.loads(path.read_text())["cm"]}
     rows = [row for row in json.loads(out)["rows"] if row["label"] in cm]
     assert len(rows) == 12
-    assert rows == json.loads((GOLDEN / "scan_ell13_b1000_cm.json").read_text())
+    # byte for byte: parsed JSON would read true as 1 and 1.0 as 1
+    assert json.dumps(rows, indent=1, sort_keys=True) + "\n" == (GOLDEN / "scan_ell13_b1000_cm.json").read_text()
 
 
 def test_scan_filters_apply_to_explicit_labels(capsys):

@@ -272,6 +272,16 @@ def test_malformed_upstream_coefficient_is_a_transport_error(tmp_path):
         fetch_form(_http_source(tmp_path, newform, hecke), "189.2.p.a", bound=100)
 
 
+def test_upstream_coefficient_of_three_coordinates_is_a_transport_error(tmp_path):
+    # read as its first two coordinates, [1, 2, 5] would load as a_2 = 1 + 2b
+    record = fetch_form(fixtures_source(), "189.2.p.a")
+    newform, hecke = _upstream_payloads(record, 100)
+    hecke["data"][0]["ap"][0] = ["1", "2", "5"]
+    with pytest.raises(TransportError, match="a_p for p = 2 must be a list of two coordinates"):
+        fetch_form(_http_source(tmp_path, newform, hecke), "189.2.p.a", bound=100)
+    assert not (tmp_path / "forms" / "189.2.p.a.json").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("level", 189.7),  # int() read 189
     ("weight", 2.9),

@@ -12,7 +12,6 @@ from hassecheck.lmfdb import DataSource, fetch_form, list_fixture_labels
 from hassecheck.matgrp import closure, matrix, projectivize
 from hassecheck.nfdata import (
     BadDenominatorError,
-    FrobData,
     NewformRecord,
     RamifiedPrimeError,
     exact_rational,
@@ -20,6 +19,7 @@ from hassecheck.nfdata import (
     primes_upto,
     projective_frob_order,
     reduce_char_embedding,
+    repeated_eigenvalue,
     ring_mul,
     split_primes,
     sturm_bound,
@@ -174,8 +174,7 @@ def test_frob_charpoly_on_fixture():
     rec = fetch_form(DataSource(mode="fixtures"), "7938.2.a.bk")
     r3 = split_primes(SQRT2, 7)[0]
     embed = reduce_char_embedding(rec, r3)
-    fd = frob_charpoly(rec, 11, r3, embed)
-    assert (fd.trace, fd.det) == (2, 4)
+    assert frob_charpoly(rec, 11, r3, embed) == (2, 4)
     with pytest.raises(ValueError):
         frob_charpoly(rec, 7, r3, embed)  # p divides l*N
     with pytest.raises(ValueError):
@@ -192,22 +191,23 @@ def test_frob_missing_coefficient():
 
 
 def test_projective_frob_orders():
-    assert projective_frob_order(FrobData(11, 2, 4, 7)) == 3
-    assert projective_frob_order(FrobData(11, 0, 3, 7)) == 2
-    scalar = FrobData(11, 4, 4, 7)
-    assert scalar.repeated and projective_frob_order(scalar) == 1
-    assert projective_frob_order(FrobData(11, 1, 4, 7)) == 4  # nonsplit ratio
+    assert projective_frob_order(2, 4, 7) == 3
+    assert projective_frob_order(0, 3, 7) == 2
+    assert repeated_eigenvalue(4, 4, 7) and projective_frob_order(4, 4, 7) == 1  # scalar
+    assert projective_frob_order(1, 4, 7) == 4  # nonsplit ratio
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
 def test_projective_frob_order_is_the_companion_matrix_order(ell):
     for t in range(ell):
         for d in range(1, ell):
-            fd = FrobData(2, t, d, ell)
-            if fd.repeated:
+            roots = {x for x in range(ell) if (x * x - t * x + d) % ell == 0}
+            # ell is odd, so a lone root is a double root
+            assert repeated_eigenvalue(t, d, ell) == (len(roots) == 1), (t, d)
+            if len(roots) == 1:
                 continue
             companion = closure([matrix([[t, -d], [1, 0]], ell)])
-            assert projective_frob_order(fd) == projectivize(companion).order(), (t, d)
+            assert projective_frob_order(t, d, ell) == projectivize(companion).order(), (t, d)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
@@ -240,9 +240,9 @@ def test_split_primes_at_2():
 def test_projective_order_depends_only_on_t2_over_d():
     for t in range(7):
         for d in range(1, 7):
-            base = projective_frob_order(FrobData(2, t, d, 7))
+            base = projective_frob_order(t, d, 7)
             for lam in range(1, 7):
-                scaled = projective_frob_order(FrobData(2, lam * t % 7, lam * lam * d % 7, 7))
+                scaled = projective_frob_order(lam * t % 7, lam * lam * d % 7, 7)
                 assert scaled == base
 
 
@@ -250,8 +250,8 @@ def test_trivial_nebentypus_det_is_p():
     rec = fetch_form(DataSource(mode="fixtures"), "9099.2.a.e")
     r = split_primes(SQRT2, 7)[0]
     for p in (2, 5, 11, 13, 19):
-        fd = frob_charpoly(rec, p, r, reduce_char_embedding(rec, r))
-        assert fd.det == p % 7
+        t, d = frob_charpoly(rec, p, r, reduce_char_embedding(rec, r))
+        assert d == p % 7
 
 
 def test_reduced_nebentypus_matches_the_ring_oracle():
@@ -278,7 +278,7 @@ def test_reduced_nebentypus_matches_the_ring_oracle():
                 oracle = rmap.apply(rec.nebentypus_value(p))
                 assert rec.nebentypus_value(p, embed) == oracle, (label, rmap.root, p)
                 if p != 7 and rec.level % p:
-                    assert frob_charpoly(rec, p, rmap, embed).det == p * oracle % 7
+                    assert frob_charpoly(rec, p, rmap, embed)[1] == p * oracle % 7
     assert unsplit == ["20.2.e.a", "56.2.e.a"]  # inert and ramified at 7
     assert orders == {1, 2, 3, 6}
 
@@ -346,6 +346,23 @@ def test_record_rejects_a_field_of_the_wrong_json_type(field, change):
     data = fetch_form(DataSource(mode="fixtures"), "189.2.p.a").to_dict()
     change(data)
     with pytest.raises(ValueError, match=f"189.2.p.a: {field} must be a JSON"):
+        NewformRecord.from_dict(data)
+
+
+def _a7(data):
+    return next(a for a in data["ap"] if a["p"] == 7)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d["ap"].append({"p": 7, "coeffs": [99, 0]}), "a second a_p for p = 7"),  # replaced a_7
+    (lambda d: _a7(d).update(coeffs=[1, 2, 5]), r"a_p for p = 7 must be a list of two coordinates, not \[1, 2, 5\]"),
+    (lambda d: _a7(d).update(coeffs=[1]), r"a_p for p = 7 must be a list of two coordinates, not \[1\]"),
+], ids=["repeated-p", "three-coordinates", "one-coordinate"])
+def test_record_rejects_a_malformed_ap_list(change, message):
+    data = fetch_form(DataSource(mode="fixtures"), "63.2.e.a").to_dict()
+    assert _a7(data)["coeffs"] == [1, -3]
+    change(data)
+    with pytest.raises(ValueError, match=f"63.2.e.a: {message}"):
         NewformRecord.from_dict(data)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 from types import SimpleNamespace
@@ -186,18 +187,46 @@ def test_analyze_ideal_reduces_the_character_embedding_once(monkeypatch):
 def test_not_borel_witness():
     rec = fetch_form(SRC, "7938.2.a.bk")
     r4 = rmaps(rec)[1]
-    w = not_borel_witness(frob_table(rec, r4, 1000))
+    w = not_borel_witness(frob_table(rec, r4, 1000), 7)
     assert w is not None
     # witness really has irreducible characteristic polynomial
     from hassecheck.ffield import legendre
     from hassecheck.nfdata import frob_charpoly, reduce_char_embedding
 
-    fd = frob_charpoly(rec, w, r4, reduce_char_embedding(rec, r4))
-    assert legendre(fd.trace * fd.trace - 4 * fd.det, 7) == -1
+    t, d = frob_charpoly(rec, w, r4, reduce_char_embedding(rec, r4))
+    assert legendre(t * t - 4 * d, 7) == -1
     # a Hasse-type dihedral image fixes a point elementwise: no witness exists
     rec2 = fetch_form(SRC, "189.2.p.a")
     for rmap in rmaps(rec2):
-        assert not_borel_witness(frob_table(rec2, rmap, 432)) is None
+        assert not_borel_witness(frob_table(rec2, rmap, 432), 7) is None
+
+
+def curve_ap(a, b, p):
+    """a_p = p + 1 - #E(F_p) of y^2 = x^3 + a x + b at an odd prime p of good reduction."""
+    symbol = [-1] * p
+    symbol[0] = 0
+    for y in range(1, (p + 1) // 2):
+        symbol[y * y % p] = 1
+    return -sum(symbol[(x * x * x + a * x + b) % p] for x in range(p))
+
+
+def test_sutherland_curve_from_a_table_with_no_record():
+    """Sutherland (JTNB 2012): over Q, a local-global failure for 7-isogenies
+    happens only at j = 2268945/128, where the projective mod-7 image is D6.
+    The stages read it from point counts alone, with no newform record."""
+    a, b = -1715, -25970
+    assert Fraction(1728 * 4 * a**3, 4 * a**3 + 27 * b**2) == Fraction(2268945, 128)
+    level = 2**8 * 5**2 * 7**2  # the Brumer-Kramer conductor bound at the bad primes 2, 5 and 7
+    frob = {p: (curve_ap(a, b, p) % 7, p % 7) for p in pipeline.test_primes(level, 7, 1000)}
+    assert len(frob) == 165 and all((4 * a**3 + 27 * b**2) % p for p in frob)
+    alpha, disc = detect_twist(frob, level)
+    assert disc == -7
+    red = exclude_reducible(frob, level, 7)
+    assert red["reducible"] is False and red["character"] is None
+    assert not_borel_witness(frob, 7) is None
+    audit = dihedral_order(frob, alpha, 7, 1000)
+    assert (audit["n"], audit["stabilized_at"], audit["insufficient"]) == (3, 11, False)
+    assert audit["divides_ell_minus_1"]  # D6 in the split Cartan's normaliser
 
 
 def test_hasse_verdict_examples():
@@ -522,9 +551,10 @@ def test_scan_turns_analysis_failures_into_error_rows(tmp_path):
 @pytest.mark.parametrize("name, bound", [("scan_ell7_default", None), ("scan_ell7_b1000", 1000)])
 def test_scan_rows_match_golden(name, bound):
     # every stage output of every fixture row: verdicts, flags, order audits,
-    # certificate counts and witnesses
-    golden = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert json.loads(json.dumps(scan(SRC, 7, bound=bound))) == golden
+    # certificate counts and witnesses, byte for byte: parsed JSON would read
+    # true as 1 and 1.0 as 1
+    golden = (GOLDEN / f"{name}.json").read_text()
+    assert json.dumps(scan(SRC, 7, bound=bound), indent=1, sort_keys=True) + "\n" == golden
 
 
 def test_default_bound_rule():
