@@ -7,6 +7,10 @@ quadratic-twist detection (dihedral evidence), a reducibility sweep over all
 F_l-valued characters of modulus dividing the level (a finite certificate
 either way), dihedral-order determination from eigenvalue-ratio orders, and
 an irreducible-Frobenius witness.  The final verdict combines both ideals.
+It has two layers: hasse_verdict reads a record (its bound, whether l splits,
+data coverage) and builds one table per ideal with frob_table, and
+verdict_from_tables runs analyze_ideal on each table and Lemma 3.1's rule,
+knowing no record, so point counts or any other exact source can feed it.
 Everything is trace-level evidence at an explicit prime bound; nothing here
 claims a proof of the actual image, and the reports say so via flags rather
 than silently upgrading confidence.
@@ -171,8 +175,6 @@ def not_borel_witness(frob: dict[int, tuple[int, int]], ell: int):
 
 @dataclass
 class ImageReport:
-    label: str
-    ell: int
     root: int
     ideal: str
     status: str  # dihedral | possibly_reducible | not_dihedral | insufficient_data
@@ -241,12 +243,14 @@ class HasseVerdict:
         }
 
 
-def analyze_ideal(record: NewformRecord, rmap: ReductionMap, bound: int) -> ImageReport:
-    frob = frob_table(record, rmap, bound)
-    report = ImageReport(record.label, rmap.ell, rmap.root, rmap.ideal_display(), "not_dihedral")
-    twist = detect_twist(frob, record.level)
-    red = exclude_reducible(frob, record.level, rmap.ell)
-    report.not_borel_witness = not_borel_witness(frob, rmap.ell)
+def analyze_ideal(
+    frob: dict[int, tuple[int, int]], level: int, ell: int, bound: int, root: int, ideal: str
+) -> ImageReport:
+    """The mod-l image at one ideal, read from its Frobenius table alone."""
+    report = ImageReport(root, ideal, "not_dihedral")
+    twist = detect_twist(frob, level)
+    red = exclude_reducible(frob, level, ell)
+    report.not_borel_witness = not_borel_witness(frob, ell)
     if red["reducible"]:
         report.status = "possibly_reducible"
         report.reducible_character = red["character"]
@@ -262,15 +266,8 @@ def analyze_ideal(record: NewformRecord, rmap: ReductionMap, bound: int) -> Imag
         return report
     alpha, disc = twist
     report.alpha, report.alpha_kernel_disc = alpha, disc
-    audit = dihedral_order(frob, alpha, rmap.ell, bound)
-    report.flags["order_audit"] = {
-        k: audit[k]
-        for k in (
-            "split_primes_used",
-            "skipped_repeated",
-            "stabilized_at",
-        )
-    }
+    audit = dihedral_order(frob, alpha, ell, bound)
+    report.flags["order_audit"] = {k: audit[k] for k in ("split_primes_used", "skipped_repeated", "stabilized_at")}
     if audit["insufficient"]:
         report.status = "insufficient_data"
         report.n = audit["n"]
@@ -288,16 +285,8 @@ def analyze_ideal(record: NewformRecord, rmap: ReductionMap, bound: int) -> Imag
     return report
 
 
-def hasse_verdict(record: NewformRecord, ell: int, bound: int | None = None):
-    """Full two-ideal analysis and the combined verdict.
-
-    Returns (HasseVerdict, [ImageReport...]).  Failure modes (inert or
-    ramified l, missing data) become reasons on an undetermined verdict,
-    never exceptions.
-    """
-    if bound is None:
-        bound = default_bound(record.level)
-    reasons = {
+def _reasons(ell: int, bound: int) -> dict:
+    return {
         "ell_ge_7": ell >= 7,
         "ell_3_mod_4": ell % 4 == 3,
         "split_in_coefficient_field": False,
@@ -309,23 +298,44 @@ def hasse_verdict(record: NewformRecord, ell: int, bound: int | None = None):
         "other_ideal_not_borel": False,
         "bound": bound,
     }
+
+
+def hasse_verdict(record: NewformRecord, ell: int, bound: int | None = None):
+    """Full two-ideal analysis of a record and the combined verdict.
+
+    Returns (HasseVerdict, [ImageReport...]).  Failure modes (inert or
+    ramified l, missing data) become reasons on an undetermined verdict,
+    never exceptions; otherwise the record's two Frobenius tables go to
+    verdict_from_tables.
+    """
+    if bound is None:
+        bound = default_bound(record.level)
+    why = None
     try:
         maps = split_primes((record.m0, record.m1, 1), ell)
+        if maps is None:
+            why = {"inert": True}
+        else:
+            tables = [(rmap.root, rmap.ideal_display(), frob_table(record, rmap, bound)) for rmap in maps]
     except RamifiedPrimeError:
-        reasons["ramified"] = True
-        return HasseVerdict(record.label, ell, "undetermined", reasons), []
-    if maps is None:
-        reasons["inert"] = True
-        return HasseVerdict(record.label, ell, "undetermined", reasons), []
-    reasons["split_in_coefficient_field"] = True
-
-    try:
-        reports = [analyze_ideal(record, rmap, bound) for rmap in maps]
+        why = {"ramified": True}
     except DataCoverageError as exc:
         # coverage belongs to the record: both ideals fail or neither does
-        reasons["data_coverage"] = str(exc)
-        return HasseVerdict(record.label, ell, "undetermined", reasons), []
+        why = {"split_in_coefficient_field": True, "data_coverage": str(exc)}
+    if why is not None:
+        return HasseVerdict(record.label, ell, "undetermined", _reasons(ell, bound) | why), []
+    return verdict_from_tables(record.label, record.level, ell, bound, tables)
 
+
+def verdict_from_tables(label: str, level: int, ell: int, bound: int, tables: list) -> tuple:
+    """Lemma 3.1's verdict from the Frobenius tables of the two ideals above l.
+
+    tables holds two (root, ideal display, {p: (t, d)}), one per ideal; any
+    exact source of (a_p, p*eps(p)) mod l can fill them.  Returns
+    (HasseVerdict, [ImageReport, ImageReport]).
+    """
+    reports = [analyze_ideal(frob, level, ell, bound, root, ideal) for root, ideal, frob in tables]
+    reasons = _reasons(ell, bound) | {"split_in_coefficient_field": True}
     # Lemma 3.1's carrier: a dihedral ideal meeting Sutherland's condition whose other
     # ideal is certified not Borel; the evidence is the carrier, else the first dihedral one
     facts = [(r.status == "dihedral" and sutherland_dihedral(r.n, ell), r.not_borel_certified) for r in reports]
@@ -335,32 +345,26 @@ def hasse_verdict(record: NewformRecord, ell: int, bound: int | None = None):
     if evidence is not None:
         n = evidence.n
         reasons.update(
-            {
-                "dihedral_ideal": evidence.ideal,
-                "n": n,
-                "n_odd": n % 2 == 1,
-                "n_gt_1": n > 1,
-                "n_divides_half_ell_minus_1": ((ell - 1) // 2) % n == 0,
-            }
+            dihedral_ideal=evidence.ideal,
+            n=n,
+            n_odd=n % 2 == 1,
+            n_gt_1=n > 1,
+            n_divides_half_ell_minus_1=((ell - 1) // 2) % n == 0,
         )
     if carrier is not None:
-        not_borel = reports[1 - carrier]
+        witness = reports[1 - carrier].not_borel_witness
         reasons.update(
-            {
-                "other_ideal_not_borel": True,
-                "not_borel_witness": not_borel.not_borel_witness,
-                "not_borel_mechanism": "witness_prime"
-                if not_borel.not_borel_witness is not None
-                else "irreducibility_sweep",
-            }
+            other_ideal_not_borel=True,
+            not_borel_witness=witness,
+            not_borel_mechanism="witness_prime" if witness is not None else "irreducibility_sweep",
         )
         # Sutherland's n > 1 odd with n | (l - 1)/2 already forces l >= 7
         if reasons["ell_3_mod_4"]:
-            return HasseVerdict(record.label, ell, "hasse", reasons), reports
+            return HasseVerdict(label, ell, "hasse", reasons), reports
 
     if any(rep.status == "insufficient_data" for rep in reports):
-        return HasseVerdict(record.label, ell, "undetermined", reasons), reports
-    return HasseVerdict(record.label, ell, "not_hasse", reasons), reports
+        return HasseVerdict(label, ell, "undetermined", reasons), reports
+    return HasseVerdict(label, ell, "not_hasse", reasons), reports
 
 
 def congruence_check(

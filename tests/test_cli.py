@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from hassecheck.cli import EX_OK, EX_OPERATIONAL, EX_USAGE, main
+from hassecheck import __version__
+from hassecheck.cli import EX_OK, EX_OPERATIONAL, EX_USAGE, canonical_json, main
 from hassecheck.lmfdb import fixture_dir
 from hassecheck.matgrp import Matrix, closure, matrix, projectivize, standard_constructors
 from hassecheck.nfdata import default_bound
@@ -282,6 +283,37 @@ def test_analyze_echoes_the_bound_the_verdict_used(capsys, label, bound, resolve
     assert rc == EX_OK
     doc = json.loads(out)
     assert doc["config"]["resolved_bound"] == doc["verdict"]["reasons"]["bound"] == resolved
+
+
+@pytest.mark.parametrize("label, bound, why", [
+    ("20.2.e.a", 200, {"inert": True}),
+    ("56.2.e.a", 200, {"ramified": True}),
+    ("7938.2.a.bk", default_bound(7938), {
+        "split_in_coefficient_field": True,
+        "data_coverage": "7938.2.a.bk: coefficients cover primes up to 1009, but 1333584 is required",
+    }),
+])
+def test_analyze_prints_every_reason_on_an_undetermined_path(capsys, monkeypatch, label, bound, why):
+    # the full document, byte for byte: every reason key on the inert, ramified and coverage paths
+    monkeypatch.delenv("HASSE_CACHE_DIR", raising=False)
+    rc, out, err = run(capsys, ["analyze", "--label", label, "--ell", "7"])
+    reasons = {
+        "ell_ge_7": True,
+        "ell_3_mod_4": True,
+        "split_in_coefficient_field": False,
+        "dihedral_ideal": None,
+        "n": None,
+        "n_odd": False,
+        "n_gt_1": False,
+        "n_divides_half_ell_minus_1": False,
+        "other_ideal_not_borel": False,
+        "bound": bound,
+    }
+    config = {"version": __version__, "command": "analyze", "source": "fixtures", "ell": 7, "bound": None,
+              "cache_dir": "", "label": label, "resolved_bound": bound}
+    verdict = {"label": label, "ell": 7, "verdict": "undetermined", "reasons": reasons | why}
+    assert (rc, err) == (EX_OK, "")
+    assert out == canonical_json({"config": config, "verdict": verdict, "reports": []})
 
 
 def test_analyze_reads_a_cache_dir(tmp_path, capsys):

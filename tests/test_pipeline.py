@@ -5,7 +5,6 @@ import shutil
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +23,7 @@ from hassecheck.pipeline import (
     hasse_verdict,
     not_borel_witness,
     scan,
+    verdict_from_tables,
 )
 from hassecheck.refdata import reference_discrepancies
 
@@ -35,6 +35,11 @@ ZETA6 = (1, -1, 1)
 
 def rmaps(rec, ell=7):
     return split_primes((rec.m0, rec.m1, 1), ell)
+
+
+def analyze(rec, rmap, bound):
+    """analyze_ideal on the record's Frobenius table at the ideal of rmap."""
+    return analyze_ideal(frob_table(rec, rmap, bound), rec.level, rmap.ell, bound, rmap.root, rmap.ideal_display())
 
 
 def conjugate(x, m1):
@@ -178,7 +183,7 @@ def test_analyze_ideal_reduces_the_character_embedding_once(monkeypatch):
     for rmap in rmaps(rec):
         embeddings.clear()
         products.clear()
-        report = analyze_ideal(rec, rmap, 1000)
+        report = analyze(rec, rmap, 1000)
         assert report.status == "dihedral"
         assert embeddings == []
         assert products == []
@@ -210,6 +215,11 @@ def curve_ap(a, b, p):
     return -sum(symbol[(x * x * x + a * x + b) % p] for x in range(p))
 
 
+def curve_table(a, b, level, bound):
+    """{p: (a_p, p) mod 7} of y^2 = x^3 + a x + b at the good primes p <= bound."""
+    return {p: (curve_ap(a, b, p) % 7, p % 7) for p in pipeline.test_primes(level, 7, bound)}
+
+
 def test_sutherland_curve_from_a_table_with_no_record():
     """Sutherland (JTNB 2012): over Q, a local-global failure for 7-isogenies
     happens only at j = 2268945/128, where the projective mod-7 image is D6.
@@ -217,7 +227,7 @@ def test_sutherland_curve_from_a_table_with_no_record():
     a, b = -1715, -25970
     assert Fraction(1728 * 4 * a**3, 4 * a**3 + 27 * b**2) == Fraction(2268945, 128)
     level = 2**8 * 5**2 * 7**2  # the Brumer-Kramer conductor bound at the bad primes 2, 5 and 7
-    frob = {p: (curve_ap(a, b, p) % 7, p % 7) for p in pipeline.test_primes(level, 7, 1000)}
+    frob = curve_table(a, b, level, 1000)
     assert len(frob) == 165 and all((4 * a**3 + 27 * b**2) % p for p in frob)
     alpha, disc = detect_twist(frob, level)
     assert disc == -7
@@ -227,6 +237,50 @@ def test_sutherland_curve_from_a_table_with_no_record():
     audit = dihedral_order(frob, alpha, 7, 1000)
     assert (audit["n"], audit["stabilized_at"], audit["insufficient"]) == (3, 11, False)
     assert audit["divides_ell_minus_1"]  # D6 in the split Cartan's normaliser
+
+
+@pytest.mark.parametrize("a2, b2, verdict, witness, second_image", [
+    (1, 1, "hasse", 13, "none"),
+    (-2, 1, "hasse", 17, "none"),
+    # CM by Q(sqrt-7): E2 has a rational 7-isogeny, so E1 x E2 has one too
+    (-35, -98, "not_hasse", None, "C2"),
+])
+def test_lemma31_on_a_product_with_sutherlands_curve(a2, b2, verdict, witness, second_image):
+    """E1 x E2 with E1 Sutherland's D6 curve, from two tables and no record: by Lemma 3.1
+    the product fails the local-global principle at 7 when E2 fixes no line mod 7."""
+    level = 2**8 * 5**2 * 7**2 * 31**2  # Brumer-Kramer bounds at the bad primes of all three E2
+    e1 = curve_table(-1715, -25970, level, 1000)
+    e2 = curve_table(a2, b2, level, 1000)
+    assert all((4 * a2**3 + 27 * b2**2) % p for p in e2)
+    v, (r1, r2) = verdict_from_tables("E1 x E2", level, 7, 1000, [(0, "E1", e1), (1, "E2", e2)])
+    assert (r1.status, r1.image_cell, r1.not_borel_witness) == ("dihedral", "D6", None)
+    assert v.verdict == verdict and v.reasons["dihedral_ideal"] == "E1" and v.reasons["n"] == 3
+    assert r2.image_cell == second_image
+    if witness is not None:
+        assert (v.reasons["not_borel_witness"], v.reasons["not_borel_mechanism"]) == (witness, "witness_prime")
+    else:
+        assert r2.status == "possibly_reducible" and not v.reasons["other_ideal_not_borel"]
+
+
+def test_a_table_built_by_hand_gives_the_record_verdict():
+    """7938.2.a.bk has trivial character and field Q(b), b^2 = 2, with b = 3 and 4 mod 7:
+    plain ints from the fixture file fill both tables, and the verdict matches the record path."""
+    data = json.loads((fixture_dir() / "7938.2.a.bk.json").read_text())
+    assert data["field_poly"] == [-2, 0, 1] and data["char"]["zeta_order"] == 1
+    coeffs = {row["p"]: row["coeffs"] for row in data["ap"]}
+    primes = pipeline.test_primes(7938, 7, 1000)
+    rec = fetch_form(SRC, "7938.2.a.bk")
+    tables = []
+    for rmap, ideal in zip(rmaps(rec), ("(1 + 2b)", "(1 - 2b)")):
+        table = {p: ((coeffs[p][0] + coeffs[p][1] * rmap.root) % 7, p % 7) for p in primes}
+        assert table == frob_table(rec, rmap, 1000)
+        tables.append((rmap.root, ideal, table))
+    assert [root for root, _, _ in tables] == [3, 4]
+    v, reports = verdict_from_tables("7938.2.a.bk", 7938, 7, 1000, tables)
+    v_rec, reports_rec = hasse_verdict(rec, 7, bound=1000)
+    assert v.verdict == "hasse"
+    assert v.to_dict() == v_rec.to_dict()
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in reports_rec]
 
 
 def test_hasse_verdict_examples():
@@ -302,7 +356,7 @@ def _evidence_loop_reasons(reports, ell, bound):
     return "not_hasse", reasons
 
 
-def _synthetic_reports(ell, ideal):
+def _synthetic_reports(ideal):
     """Every status, with every order n for the dihedral one, under each
     not-Borel certificate: none, a witness prime, the irreducibility sweep."""
     out = []
@@ -310,7 +364,7 @@ def _synthetic_reports(ell, ideal):
         for n in (1, 2, 3, 5, 6, 7, 9, 11, 21) if status == "dihedral" else (3,):
             for witness, irreducible in ((None, False), (None, True), (29, False)):
                 out.append(pipeline.ImageReport(
-                    "0.2.a.a", ell, 0, ideal, status, n=n, not_borel_witness=witness, irreducible=irreducible,
+                    0, ideal, status, n=n, not_borel_witness=witness, irreducible=irreducible,
                 ))
     return out
 
@@ -318,15 +372,13 @@ def _synthetic_reports(ell, ideal):
 @pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 19, 23, 37, 41, 43])
 def test_hasse_verdict_matches_the_evidence_loop_on_synthetic_reports(monkeypatch, ell):
     # ell = 1 and 3 mod 4 both appear: only the latter can give "hasse"
-    record = SimpleNamespace(label="0.2.a.a", m0=0, m1=0)
     pair = []
-    monkeypatch.setattr(pipeline, "split_primes", lambda poly, ell: (0, 1))
-    monkeypatch.setattr(pipeline, "analyze_ideal", lambda record, rmap, bound: pair[rmap])
+    monkeypatch.setattr(pipeline, "analyze_ideal", lambda frob, level, ell, bound, root, ideal: pair[root])
     verdicts = set()
-    for first in _synthetic_reports(ell, "P1"):
-        for second in _synthetic_reports(ell, "P2"):
+    for first in _synthetic_reports("P1"):
+        for second in _synthetic_reports("P2"):
             pair[:] = [first, second]
-            v, reports = hasse_verdict(record, ell, bound=100)
+            v, reports = verdict_from_tables("0.2.a.a", 1, ell, 100, [(0, "P1", {}), (1, "P2", {})])
             verdict, reasons = _evidence_loop_reasons(pair, ell, 100)
             assert v.to_dict() == {"label": "0.2.a.a", "ell": ell, "verdict": verdict, "reasons": reasons}
             assert reports == pair
@@ -362,11 +414,9 @@ def test_root_relabeling_commutes_with_conjugation():
         inner_twist_count=rec.inner_twist_count, ap_max_prime=rec.ap_max_prime,
         zeta_in_field=conjugate(rec.zeta, rec.m1),
     )
-    from hassecheck.pipeline import analyze_ideal
-
     m1, m2 = rmaps(rec)
-    a = analyze_ideal(rec, m1, 432)
-    b = analyze_ideal(rec_conj, m2, 432)
+    a = analyze(rec, m1, 432)
+    b = analyze(rec_conj, m2, 432)
     assert (a.status, a.n) == (b.status, b.n)
 
 
