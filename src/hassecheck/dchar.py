@@ -173,17 +173,14 @@ class DirichletCharacter:
             return 0
         return 1 if k == 0 else -1
 
+    @cached_property
     def minus_residues(self) -> frozenset:
         """The residues a mod N with chi(a) = -1, read through sign_value.
 
         chi(n) = -1 exactly when n % N is in the set, so a sweep over many n
-        pays for one table of N entries, built on the first call; raises as
-        sign_value does for a character of order > 2, on every call.
+        pays for one table of N entries, built on the first read; raises as
+        sign_value does for a character of order > 2, on every read.
         """
-        return self._minus_residues
-
-    @cached_property
-    def _minus_residues(self) -> frozenset:
         return frozenset(a for a in range(self.modulus) if self.sign_value(a) == -1)
 
     def to_dict(self):
@@ -245,17 +242,12 @@ def _characters(n: int, m: int) -> tuple[DirichletCharacter, ...]:
 
 
 @lru_cache(maxsize=None)
-def _quadratic_characters(q: int) -> tuple[DirichletCharacter, ...]:
-    return tuple(sorted(_characters(q, 2), key=lambda c: (c.conductor(), c.exponents)))
-
-
-def quadratic_characters(q: int) -> list[DirichletCharacter]:
-    """All characters mod q of order dividing 2, trivial one first.
+def quadratic_characters(q: int) -> tuple[DirichletCharacter, ...]:
+    """All characters mod q of order dividing 2, trivial one first, as one cached tuple per q.
 
     Sorted by (conductor, exponent vector) so iteration order is canonical.
-    Built once per q; every call returns a fresh list.
     """
-    return list(_quadratic_characters(q))
+    return tuple(sorted(_characters(q, 2), key=lambda c: (c.conductor(), c.exponents)))
 
 
 def kernel_field_disc(chi: DirichletCharacter) -> int:
@@ -273,9 +265,6 @@ def kernel_field_disc(chi: DirichletCharacter) -> int:
     return f if chi.sign_value(-1) == 1 else -f
 
 
-def fl_valued_characters(n: int, ell: int) -> list[DirichletCharacter]:
-    """All characters mod n of order dividing ell - 1, in exponent-vector order.
-
-    Built once per (n, ell - 1); every call returns a fresh list.
-    """
-    return list(_characters(n, ell - 1))
+def fl_valued_characters(n: int, ell: int) -> tuple[DirichletCharacter, ...]:
+    """All characters mod n of order dividing ell - 1: the cached tuple of _characters(n, ell - 1)."""
+    return _characters(n, ell - 1)

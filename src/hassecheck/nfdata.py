@@ -139,16 +139,9 @@ def sturm_bound(level: int, weight: int) -> int:
     return floor(Fraction(weight) * mu / 12)
 
 
-def primes_upto(n: int) -> list[int]:
-    """The primes p <= n, by a sieve of Eratosthenes over a bytearray.
-
-    Sieved once per n; every call returns a fresh list.
-    """
-    return list(_primes_upto(n))
-
-
 @lru_cache(maxsize=16)
-def _primes_upto(n: int) -> tuple[int, ...]:
+def primes_upto(n: int) -> tuple[int, ...]:
+    """The primes p <= n as one cached tuple per n, sieved over a bytearray."""
     if n < 2:
         return ()
     sieve = bytearray([1]) * (n + 1)
@@ -219,15 +212,11 @@ class NewformRecord:
         """The coefficient-ring image of the character's root of unity zeta_m, as a pair.
 
         The stored zeta_in_field when present; else +-1, which is the only
-        choice for m <= 2.
+        choice for m <= 2 (from_dict rejects a larger m with no stored root).
         """
         if self.zeta_in_field is not None:
-            c0, c1 = self.zeta_in_field
-            return exact_rational(c0), exact_rational(c1)
-        m = self.char.zeta_order
-        if m > 2:
-            raise ValueError(f"{self.label}: character needs zeta_in_field")
-        return (-1 if m == 2 else 1, 0)
+            return self.zeta_in_field
+        return (-1 if self.char.zeta_order == 2 else 1, 0)
 
     def _zeta_powers(self, count: int) -> list[tuple]:
         """zeta^0, ..., zeta^(count - 1) in the coefficient ring."""
@@ -261,7 +250,7 @@ class NewformRecord:
         if self.cm_disc is not None:
             out["cm_disc"] = self.cm_disc
         if self.zeta_in_field is not None:
-            out["zeta_in_field"] = list(self.zeta_in_field)
+            out["zeta_in_field"] = [_coeff_json(c) for c in self.zeta_in_field]
         if self.provenance:
             out["provenance"] = self.provenance
         return out
@@ -300,7 +289,11 @@ class NewformRecord:
         cm_disc = data.get("cm_disc")
         if cm_disc is not None:
             typed(cm_disc, int, "cm_disc")
-        zeta = data.get("zeta_in_field")
+        zeta = data.get("zeta_in_field")  # null or absent, else two coordinates as for a_p
+        if zeta is not None:
+            if type(zeta) is not list or len(zeta) != 2:
+                raise ValueError(f"{label}: zeta_in_field must be a list of two coordinates, not {zeta!r}")
+            zeta = exact_rational(zeta[0]), exact_rational(zeta[1])
         record = NewformRecord(
             label=label,
             level=typed(data["level"], int, "level"),
@@ -312,7 +305,7 @@ class NewformRecord:
             cm_disc=cm_disc,
             inner_twist_count=typed(data["inner_twist_count"], int, "inner_twist_count"),
             ap_max_prime=typed(data["ap_max_prime"], int, "ap_max_prime"),
-            zeta_in_field=tuple(zeta) if zeta else None,
+            zeta_in_field=zeta,
             provenance=data.get("provenance", ""),
         )
         record._validate()
@@ -333,8 +326,10 @@ class NewformRecord:
         for p in primes_upto(self.ap_max_prime):
             if p not in self.ap:
                 raise ValueError(f"{label}: no a_p for p = {p} <= ap_max_prime {self.ap_max_prime}")
+        m = self.char.zeta_order
+        if self.zeta_in_field is None and m > 2:
+            raise ValueError(f"{label}: character needs zeta_in_field")
         if self.zeta_in_field is not None:
-            m = self.char.zeta_order
             powers = self._zeta_powers(m + 1)
             if powers[m] != powers[0] or any(powers[m // r] == powers[0] for r in factorize(m)):
                 raise ValueError(f"{label}: zeta_in_field is not a primitive {m}-th root of unity")

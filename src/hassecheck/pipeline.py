@@ -75,7 +75,7 @@ def detect_twist(frob: dict[int, tuple[int, int]], level: int):
     for alpha in dchar.quadratic_characters(q):
         if alpha.is_trivial():
             continue
-        minus = alpha.minus_residues()
+        minus = alpha.minus_residues
         if all(t == 0 for p, (t, d) in frob.items() if p % q in minus):
             return alpha, kernel_field_disc(alpha)
     return None
@@ -134,7 +134,7 @@ def dihedral_order(frob: dict[int, tuple[int, int]], alpha: DirichletCharacter, 
     bound or when no usable split prime exists.
     """
     q = alpha.modulus
-    minus = alpha.minus_residues()
+    minus = alpha.minus_residues
     n = 1
     last_change = None
     used = 0
@@ -334,6 +334,8 @@ def verdict_from_tables(label: str, level: int, ell: int, bound: int, tables: li
     exact source of (a_p, p*eps(p)) mod l can fill them.  Returns
     (HasseVerdict, [ImageReport, ImageReport]).
     """
+    if len(tables) != 2:
+        raise ValueError(f"{label}: Lemma 3.1 combines two tables, not {len(tables)}")
     reports = [analyze_ideal(frob, level, ell, bound, root, ideal) for root, ideal, frob in tables]
     reasons = _reasons(ell, bound) | {"split_in_coefficient_field": True}
     # Lemma 3.1's carrier: a dihedral ideal meeting Sutherland's condition whose other

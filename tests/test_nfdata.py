@@ -159,15 +159,13 @@ def test_sturm_bound_examples():
     assert sturm_bound(49, 2) == 9
 
 
-def test_primes_upto_matches_trial_division_and_returns_a_fresh_list():
+def test_primes_upto_matches_trial_division_and_returns_the_cached_tuple():
     primes = [p for p in range(2, 2001) if all(p % d for d in range(2, isqrt(p) + 1))]
     for n in range(-2, 2001):
-        assert primes_upto(n) == [p for p in primes if p <= n], n
+        assert primes_upto(n) == tuple(p for p in primes if p <= n), n
     first = primes_upto(1000)
-    first.append(1001)
-    first[0] = 4
-    assert primes_upto(1000) == [p for p in primes if p <= 1000]
-    assert primes_upto(1000) is not primes_upto(1000)
+    assert type(first) is tuple and len(first) == 168
+    assert primes_upto(1000) is first
 
 
 def test_frob_charpoly_on_fixture():
@@ -364,6 +362,27 @@ def test_record_rejects_a_malformed_ap_list(change, message):
     change(data)
     with pytest.raises(ValueError, match=f"63.2.e.a: {message}"):
         NewformRecord.from_dict(data)
+
+
+@pytest.mark.parametrize("zeta, message", [
+    ([], r"zeta_in_field must be a list of two coordinates, not \[\]"),
+    ([1, 1, 0], r"zeta_in_field must be a list of two coordinates, not \[1, 1, 0\]"),
+    (None, "character needs zeta_in_field"),  # only +-1 goes unstored, and zeta has order 3
+], ids=["empty", "three-coordinates", "missing"])
+def test_record_rejects_a_malformed_zeta_on_load(zeta, message):
+    data = fetch_form(DataSource(mode="fixtures"), "63.2.e.a").to_dict()
+    assert (data["char"]["zeta_order"], data["zeta_in_field"]) == (3, [-1, 1])
+    data["zeta_in_field"] = zeta
+    with pytest.raises(ValueError, match=f"63.2.e.a: {message}"):
+        NewformRecord.from_dict(data)
+
+
+def test_zeta_is_parsed_once_on_load():
+    data = fetch_form(DataSource(mode="fixtures"), "63.2.e.a").to_dict()
+    data["zeta_in_field"] = ["-2/2", "1"]
+    rec = NewformRecord.from_dict(data)
+    assert rec.zeta_in_field == rec.zeta == (-1, 1) and all(type(c) is int for c in rec.zeta)
+    assert rec.to_dict()["zeta_in_field"] == [-1, 1]
 
 
 def test_scan_turns_a_record_of_the_wrong_json_type_into_an_error_row(tmp_path):

@@ -1,15 +1,17 @@
 """Image analysis pipeline: twist detection, reducibility, orders, verdicts."""
 
 import json
+import random
 import shutil
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
 
 from hassecheck import nfdata, pipeline
 from hassecheck.dchar import DirichletCharacter, UnitGroupBasis
+from hassecheck.ffield import factorize
 from hassecheck.lmfdb import DataSource, fetch_form, fixture_dir
 from hassecheck.nfdata import DataCoverageError, NewformRecord, split_primes
 from hassecheck.pipeline import (
@@ -215,9 +217,9 @@ def curve_ap(a, b, p):
     return -sum(symbol[(x * x * x + a * x + b) % p] for x in range(p))
 
 
-def curve_table(a, b, level, bound):
-    """{p: (a_p, p) mod 7} of y^2 = x^3 + a x + b at the good primes p <= bound."""
-    return {p: (curve_ap(a, b, p) % 7, p % 7) for p in pipeline.test_primes(level, 7, bound)}
+def curve_table(a, b, level, ell, bound):
+    """{p: (a_p, p) mod ell} of y^2 = x^3 + a x + b at the good primes p <= bound."""
+    return {p: (curve_ap(a, b, p) % ell, p % ell) for p in pipeline.test_primes(level, ell, bound)}
 
 
 def test_sutherland_curve_from_a_table_with_no_record():
@@ -227,7 +229,7 @@ def test_sutherland_curve_from_a_table_with_no_record():
     a, b = -1715, -25970
     assert Fraction(1728 * 4 * a**3, 4 * a**3 + 27 * b**2) == Fraction(2268945, 128)
     level = 2**8 * 5**2 * 7**2  # the Brumer-Kramer conductor bound at the bad primes 2, 5 and 7
-    frob = curve_table(a, b, level, 1000)
+    frob = curve_table(a, b, level, 7, 1000)
     assert len(frob) == 165 and all((4 * a**3 + 27 * b**2) % p for p in frob)
     alpha, disc = detect_twist(frob, level)
     assert disc == -7
@@ -249,8 +251,8 @@ def test_lemma31_on_a_product_with_sutherlands_curve(a2, b2, verdict, witness, s
     """E1 x E2 with E1 Sutherland's D6 curve, from two tables and no record: by Lemma 3.1
     the product fails the local-global principle at 7 when E2 fixes no line mod 7."""
     level = 2**8 * 5**2 * 7**2 * 31**2  # Brumer-Kramer bounds at the bad primes of all three E2
-    e1 = curve_table(-1715, -25970, level, 1000)
-    e2 = curve_table(a2, b2, level, 1000)
+    e1 = curve_table(-1715, -25970, level, 7, 1000)
+    e2 = curve_table(a2, b2, level, 7, 1000)
     assert all((4 * a2**3 + 27 * b2**2) % p for p in e2)
     v, (r1, r2) = verdict_from_tables("E1 x E2", level, 7, 1000, [(0, "E1", e1), (1, "E2", e2)])
     assert (r1.status, r1.image_cell, r1.not_borel_witness) == ("dihedral", "D6", None)
@@ -260,6 +262,60 @@ def test_lemma31_on_a_product_with_sutherlands_curve(a2, b2, verdict, witness, s
         assert (v.reasons["not_borel_witness"], v.reasons["not_borel_mechanism"]) == (witness, "witness_prime")
     else:
         assert r2.status == "possibly_reducible" and not v.reasons["other_ideal_not_borel"]
+
+
+def curve_squared(a, b, level, ell):
+    """verdict_from_tables on E x E, at bound 1000.  E x E is Hasse exactly when E is:
+    a + a has an eigenvalue iff a does, and a line fixed by E x E projects to one fixed by E."""
+    e = curve_table(a, b, level, ell, 1000)
+    return verdict_from_tables("E x E", level, ell, 1000, [(0, "E", e), (1, "E", e)])
+
+
+def test_j_0_reads_the_normaliser_of_the_split_cartan():
+    """y^2 = x^3 + 7 has CM by Q(sqrt-3), and 7 splits there: projective image D12, not Hasse."""
+    v, reports = curve_squared(0, 7, 2**8 * 3**5 * 7**2, 7)
+    assert v.verdict == "not_hasse" and v.reasons["n"] == 6
+    for r in reports:
+        assert (r.status, r.image_cell, r.alpha_kernel_disc, r.not_borel_witness) == ("dihedral", "D12", -3, 11)
+
+
+def test_a_curve_with_a_large_image_reads_not_dihedral():
+    v, reports = curve_squared(1, 1, 2**8 * 31**2, 7)
+    assert v.verdict == "not_hasse" and v.reasons["dihedral_ideal"] is None
+    for r in reports:
+        assert (r.status, r.image_cell, r.not_borel_witness) == ("not_dihedral", "none", 5)
+
+
+def test_no_sampled_curve_reads_hasse_off_sutherlands_j():
+    """Sutherland (JTNB 2012): over Q, E fails the local-global principle for l-isogenies
+    only at l = 7 and j = 2268945/128.  A seeded sample of small models, each at its
+    Brumer-Kramer level; a bad prime above 200 is skipped, as its discrete-log tables grow as p^2."""
+    rng, models = random.Random(5), []
+    while len(models) < 20:
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        if 4 * a**3 + 27 * b**2 != 0 and (a, b) not in models:
+            models.append((a, b))
+    checked = 0
+    for a, b in models:
+        bad = factorize(abs(16 * (4 * a**3 + 27 * b**2)))
+        if max(bad) > 200:
+            continue
+        assert Fraction(1728 * 4 * a**3, 4 * a**3 + 27 * b**2) != Fraction(2268945, 128)
+        level = 2**8 * 3**5 * prod(p * p for p in bad if p > 3)
+        for ell in (7, 11, 13):
+            assert curve_squared(a, b, level, ell)[0].verdict != "hasse", (a, b, ell)
+        checked += 1
+    assert checked == 17
+
+
+def test_verdict_from_tables_takes_exactly_two_tables():
+    # one table would index a missing second, and a third would go unread
+    level = 2**8 * 5**2 * 7**2 * 31**2
+    e1 = curve_table(-1715, -25970, level, 7, 1000)
+    e2 = curve_table(1, 1, level, 7, 1000)
+    for tables in ([(0, "E1", e1)], [(0, "E2", e2), (1, "E1", e1), (2, "E1", e1)]):
+        with pytest.raises(ValueError, match=f"Lemma 3.1 combines two tables, not {len(tables)}"):
+            verdict_from_tables("E", level, 7, 1000, tables)
 
 
 def test_a_table_built_by_hand_gives_the_record_verdict():
