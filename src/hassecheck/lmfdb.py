@@ -3,7 +3,9 @@
 All upstream field names live in the adapter functions at the bottom of this
 file, so schema drift upstream touches exactly one place.  In cache_only and
 fixtures modes no network access happens; tests enforce this by injecting a
-transport that raises.
+transport that raises.  A fixture file is parsed once per process and again
+only when its bytes change, so fetches share one record, which callers must
+not mutate.  A fixture or cache file must hold the record of its own label.
 
 Environment:
   HASSE_LMFDB_BASE_URL  override the API base URL
@@ -25,6 +27,7 @@ from .nfdata import NewformRecord, default_bound, primes_upto
 DEFAULT_BASE_URL = "https://www.lmfdb.org/api"
 REQUEST_DELAY_S = 0.5  # pause before each real upstream request
 LABEL_RE = re.compile(r"^([1-9]\d*)\.(\d+)\.([a-z]+)\.([a-z]+)$")
+_FIXTURE_RECORDS: dict[Path, tuple[bytes, NewformRecord]] = {}  # path -> (bytes last parsed, record)
 
 
 class LabelSyntaxError(ValueError):
@@ -102,8 +105,23 @@ def _cache_path(source: DataSource, label: str) -> Path:
     return source.cache_dir / "forms" / f"{label}.json"
 
 
-def _load_record(path: Path) -> NewformRecord:
-    return NewformRecord.from_json(path.read_text())
+def _parse_record(path: Path, data: bytes) -> NewformRecord:
+    rec = NewformRecord.from_json(data)
+    if rec.label != path.stem:
+        raise ValueError(f"{path.stem}: file holds the record of {rec.label}")
+    return rec
+
+
+def _load_fixture(path: Path) -> NewformRecord:
+    """Read the file's bytes, and parse them only when they differ from those parsed last."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise NotFoundError(f"no fixture for label {path.stem}") from None
+    known = _FIXTURE_RECORDS.get(path)
+    if known is None or known[0] != data:
+        known = _FIXTURE_RECORDS[path] = data, _parse_record(path, data)  # a failed parse stores nothing
+    return known[1]
 
 
 def fetch_form(source: DataSource, label: str, bound: int | None = None) -> NewformRecord:
@@ -118,16 +136,13 @@ def fetch_form(source: DataSource, label: str, bound: int | None = None) -> Newf
     level = int(m.group(1))
 
     if source.mode == "fixtures":
-        path = Path(source.fixtures) / f"{label}.json"
-        if not path.exists():
-            raise NotFoundError(f"no fixture for label {label}")
-        return _load_record(path)
+        return _load_fixture(Path(source.fixtures) / f"{label}.json")
 
     if bound is None:
         bound = default_bound(level)
     cpath = _cache_path(source, label)
     if cpath.exists():
-        rec = _load_record(cpath)
+        rec = _parse_record(cpath, cpath.read_bytes())
         if rec.ap_max_prime >= bound or source.mode == "cache_only":
             return rec
     elif source.mode == "cache_only":
@@ -157,7 +172,7 @@ def query_candidates(source: DataSource, filters: dict, errors: list | None = No
         labels = []
         for path in sorted(Path(source.fixtures).glob("*.json")):
             try:
-                rec = _load_record(path)
+                rec = _load_fixture(path)
             except Exception as exc:  # noqa: BLE001 - one bad record must not abort the listing
                 if errors is not None:
                     errors.append({"label": path.stem, "error": f"{type(exc).__name__}: {exc}"})

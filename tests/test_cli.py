@@ -458,11 +458,8 @@ def test_reproduce_tables_script_runs():
     script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    out = proc.stdout
-    assert "== mod-7 scan, level <= 189 (CM forms, both ideals) ==" in out
-    assert "== mod-7 scan, absolutely simple candidates (field Q(sqrt 2)) ==" in out
-    counts = [line for line in out.splitlines() if line.startswith("reference discrepancies:")]
-    assert counts == ["reference discrepancies: 1", "reference discrepancies: 3"]
+    # both tables, their discrepancy lists and the second scan, which reuses the first one's records
+    assert proc.stdout == (GOLDEN / "reproduce_tables.txt").read_text()
 
 
 def test_reproduce_tables_script_rejects_a_bound_below_two():

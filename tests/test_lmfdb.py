@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import shutil
 import sys
 import threading
@@ -23,6 +24,8 @@ from hassecheck.lmfdb import (
     list_fixture_labels,
     query_candidates,
 )
+from hassecheck.nfdata import NewformRecord
+from hassecheck.pipeline import scan
 
 
 def _panic_transport(url, params):
@@ -197,6 +200,89 @@ def test_query_candidates_skips_and_reports_a_record_that_fails_to_load(tmp_path
     clean = query_candidates(fixtures_source(), filters)
     assert labels == [label for label in clean if label != "63.2.e.a"]
     assert errors == [{"label": "63.2.e.a", "error": "ValueError: 63.2.e.a: label does not name level 64"}]
+
+
+def copied_fixtures(tmp_path):
+    for path in fixture_dir().glob("*.json"):
+        shutil.copy(path, tmp_path)
+    return fixtures_source(fixtures=tmp_path)
+
+
+def test_each_fixture_is_parsed_once(tmp_path, monkeypatch):
+    src = copied_fixtures(tmp_path)
+    parsed = []
+
+    def counted(text):
+        record = NewformRecord.from_dict(json.loads(text))
+        parsed.append(record.label)
+        return record
+
+    monkeypatch.setattr(NewformRecord, "from_json", staticmethod(counted))
+    labels = query_candidates(src, {"dimension": 2})
+    assert len(labels) == 18
+    records = [fetch_form(src, label) for label in labels]
+    assert sorted(parsed) == sorted(labels)
+    assert all(fetch_form(src, rec.label) is rec for rec in records)
+    assert len(parsed) == 18
+
+
+def test_a_fixture_rewritten_to_the_same_size_and_mtime_is_parsed_again(tmp_path):
+    src = copied_fixtures(tmp_path)
+    path = tmp_path / "189.2.p.a.json"
+    old = fetch_form(src, "189.2.p.a")
+    stat = path.stat()
+    text = path.read_text()
+    assert "computed exactly" in old.provenance
+    path.write_text(text.replace("computed exactly", "COMPUTED EXACTLY"))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    new = fetch_form(src, "189.2.p.a")
+    assert "COMPUTED EXACTLY" in new.provenance
+    assert new.ap == old.ap
+
+
+def test_a_fixture_that_fails_validation_fails_on_every_load(tmp_path):
+    src = copied_fixtures(tmp_path)
+    path = tmp_path / "63.2.e.a.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), level=64)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^63.2.e.a: label does not name level 64$"):
+            fetch_form(src, "63.2.e.a")
+    error = {"label": "63.2.e.a", "error": "ValueError: 63.2.e.a: label does not name level 64"}
+    for _ in range(2):
+        assert error in scan(src, 7, level_max=189)
+
+
+def test_a_fixture_deleted_after_a_fetch_is_not_found(tmp_path):
+    src = copied_fixtures(tmp_path)
+    fetch_form(src, "189.2.p.a")
+    (tmp_path / "189.2.p.a.json").unlink()
+    with pytest.raises(NotFoundError, match="^no fixture for label 189.2.p.a$"):
+        fetch_form(src, "189.2.p.a")
+
+
+def test_a_fixture_holding_another_label_is_refused(tmp_path):
+    src = copied_fixtures(tmp_path)
+    shutil.copy(tmp_path / "81.2.c.a.json", tmp_path / "63.2.e.a.json")
+    message = "63.2.e.a: file holds the record of 81.2.c.a"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fetch_form(src, "63.2.e.a")
+    assert fetch_form(src, "81.2.c.a").label == "81.2.c.a"
+    errors = []
+    labels = query_candidates(src, {"dimension": 2, "cm": True}, errors)
+    clean = query_candidates(fixtures_source(), {"dimension": 2, "cm": True})
+    assert labels == [label for label in clean if label != "63.2.e.a"]
+    assert errors == [{"label": "63.2.e.a", "error": f"ValueError: {message}"}]
+
+
+def test_a_cached_record_holding_another_label_is_refused(tmp_path):
+    cpath = tmp_path / "forms" / "63.2.e.a.json"
+    cpath.parent.mkdir(parents=True)
+    shutil.copy(fixture_dir() / "81.2.c.a.json", cpath)
+    for mode in ("cache_only", "http"):
+        src = DataSource(mode=mode, cache_dir=tmp_path, transport=_panic_transport)
+        with pytest.raises(ValueError, match="^63.2.e.a: file holds the record of 81.2.c.a$"):
+            fetch_form(src, "63.2.e.a", bound=100)
 
 
 def test_query_candidates_empty_filters():

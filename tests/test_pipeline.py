@@ -570,6 +570,16 @@ def test_filtered_scan_turns_a_corrupted_record_into_an_error_row(tmp_path):
     assert len(rows) == len(clean) + 1
 
 
+def test_scan_turns_a_fixture_holding_another_label_into_an_error_row(tmp_path):
+    for path in fixture_dir().glob("*.json"):
+        shutil.copy(path, tmp_path)
+    shutil.copy(tmp_path / "81.2.c.a.json", tmp_path / "63.2.e.a.json")
+    rows = scan(DataSource(mode="fixtures", fixtures=tmp_path), 7, level_max=189)
+    clean = scan(SRC, 7, level_max=189)
+    error = {"label": "63.2.e.a", "error": "ValueError: 63.2.e.a: file holds the record of 81.2.c.a"}
+    assert rows == [error if r["label"] == "63.2.e.a" else r for r in clean]
+
+
 def test_two_scans_give_equal_rows():
     # the second scan reads the per-modulus dlog tables the first one built
     UnitGroupBasis.for_modulus.cache_clear()
