@@ -5,7 +5,8 @@ file, so schema drift upstream touches exactly one place.  In cache_only and
 fixtures modes no network access happens; tests enforce this by injecting a
 transport that raises.  A fixture file is parsed once per process and again
 only when its bytes change, so fetches share one record, which callers must
-not mutate.  A fixture or cache file must hold the record of its own label.
+not mutate.  A fixture or cache file must hold the record of its own label,
+and a cache file has the fixture shape: NewformRecord.to_json writes both.
 
 Environment:
   HASSE_LMFDB_BASE_URL  override the API base URL
@@ -22,11 +23,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .nfdata import NewformRecord, default_bound, primes_upto
+from .nfdata import LABEL_RE, NewformRecord, default_bound, primes_upto
 
 DEFAULT_BASE_URL = "https://www.lmfdb.org/api"
 REQUEST_DELAY_S = 0.5  # pause before each real upstream request
-LABEL_RE = re.compile(r"^([1-9]\d*)\.(\d+)\.([a-z]+)\.([a-z]+)$")
 _FIXTURE_RECORDS: dict[Path, tuple[bytes, NewformRecord]] = {}  # path -> (bytes last parsed, record)
 
 
@@ -285,7 +285,7 @@ def translate_newform(payload: dict, label: str, bound: int, source: DataSource)
             "cm": row.get("is_cm", False),
             "cm_disc": row.get("cm_disc"),
             "inner_twist_count": row.get("inner_twist_count", 1),
-            "ap_max_prime": min(covered, bound if bound else covered),
+            "ap_max_prime": min(covered, bound),
             "zeta_in_field": row.get("zeta_in_field"),
             "provenance": "fetched",
         })

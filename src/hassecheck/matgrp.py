@@ -27,7 +27,6 @@ DEFAULT_CAP = 2**20
 class ClosureCapError(RuntimeError):
     def __init__(self, cap):
         super().__init__(f"group closure exceeded the cap of {cap} elements")
-        self.cap = cap
 
 
 class SingularMatrixError(ValueError):

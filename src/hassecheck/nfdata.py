@@ -13,6 +13,7 @@ at a good prime p mod such an ideal is the plain pair (t, d) of residues in
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +25,8 @@ from .dchar import DirichletCharacter, RingEmbedding, evaluate, twist_modulus
 from .ffield import factorize, is_prime
 from .matgrp import pgl2_order, roots
 
+LABEL_RE = re.compile(r"^([1-9]\d*)\.(\d+)\.([a-z]+)\.([a-z]+)$")  # level.weight.orbit.form
+
 
 class RamifiedPrimeError(ValueError):
     """l divides the field discriminant: no split reduction pair exists."""
@@ -34,8 +37,6 @@ class DataCoverageError(RuntimeError):
         super().__init__(
             f"{label}: coefficients cover primes up to {have}, but {needed} is required"
         )
-        self.needed = needed
-        self.have = have
 
 
 class BadDenominatorError(ValueError):
@@ -244,13 +245,11 @@ class NewformRecord:
                 for p, (c0, c1) in sorted(self.ap.items())
             ],
             "cm": self.cm,
+            "cm_disc": self.cm_disc,
             "inner_twist_count": self.inner_twist_count,
             "ap_max_prime": self.ap_max_prime,
+            "zeta_in_field": None if self.zeta_in_field is None else [_coeff_json(c) for c in self.zeta_in_field],
         }
-        if self.cm_disc is not None:
-            out["cm_disc"] = self.cm_disc
-        if self.zeta_in_field is not None:
-            out["zeta_in_field"] = [_coeff_json(c) for c in self.zeta_in_field]
         if self.provenance:
             out["provenance"] = self.provenance
         return out
@@ -316,10 +315,12 @@ class NewformRecord:
         label, level, weight = self.label, self.level, self.weight
         if weight != 2:  # the det p*eps(p) and the Sturm bounds are weight-2 rules
             raise ValueError(f"{label}: weight {weight} is not 2")
-        fields = label.split(".")
-        if fields[0] != str(level):
+        m = LABEL_RE.match(label)
+        if m is None:
+            raise ValueError(f"{label}: malformed newform label")
+        if m[1] != str(level):
             raise ValueError(f"{label}: label does not name level {level}")
-        if fields[1:2] != [str(weight)]:
+        if m[2] != str(weight):
             raise ValueError(f"{label}: label does not name weight {weight}")
         if self.char.modulus != level:
             raise ValueError(f"{label}: character modulus {self.char.modulus} is not the level {level}")
@@ -335,7 +336,7 @@ class NewformRecord:
                 raise ValueError(f"{label}: zeta_in_field is not a primitive {m}-th root of unity")
 
     @staticmethod
-    def from_json(text: str) -> "NewformRecord":
+    def from_json(text: str | bytes) -> "NewformRecord":
         return NewformRecord.from_dict(json.loads(text))
 
 

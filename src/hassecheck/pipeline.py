@@ -27,6 +27,7 @@ from .ffield import FieldElement, legendre, mul_order, primitive_root
 from .hasse import lemma31_carrier, sutherland_dihedral
 from .lmfdb import DataSource, fetch_form, list_fixture_labels, matches, query_candidates
 from .nfdata import (
+    LABEL_RE,
     DataCoverageError,
     NewformRecord,
     RamifiedPrimeError,
@@ -466,13 +467,12 @@ def scan(
 
 def _label_sort_key(label: str):
     """Level, weight, then the orbit and form letters as LMFDB counts them:
-    base 26, so a shorter code comes first (z before ba).  Malformed labels
-    sort last, by their text."""
-    parts = label.split(".")
-    try:
-        return (int(parts[0]), int(parts[1]), (len(parts[2]), parts[2]), (len(parts[3]), parts[3]))
-    except (ValueError, IndexError):
+    base 26, so a shorter code comes first (z before ba).  Labels outside
+    LABEL_RE sort last, by their text."""
+    m = LABEL_RE.match(label)
+    if m is None:
         return (1 << 60, 0, (0, label), (0, ""))
+    return (int(m[1]), int(m[2]), (len(m[3]), m[3]), (len(m[4]), m[4]))
 
 
 def rows_to_table(rows: list[dict]) -> str:

@@ -12,7 +12,7 @@ import pytest
 from hassecheck import nfdata, pipeline
 from hassecheck.dchar import DirichletCharacter, UnitGroupBasis
 from hassecheck.ffield import factorize
-from hassecheck.lmfdb import DataSource, fetch_form, fixture_dir
+from hassecheck.lmfdb import DataSource, fetch_form, fixture_dir, query_candidates
 from hassecheck.nfdata import DataCoverageError, NewformRecord, split_primes
 from hassecheck.pipeline import (
     analyze_ideal,
@@ -605,12 +605,27 @@ def test_scan_decides_whether_ell_splits_once_per_form(monkeypatch):
 
 
 def test_scan_rows_follow_lmfdb_letter_order():
-    # orbit and form letters count in base 26, so z comes before ba; a malformed label goes last
-    ordered = ["9.2.a.z", "9.2.a.ba", "9.2.b.a", "10.2.a.a", "not-a-label"]
+    # orbit and form letters count in base 26, so z comes before ba; labels outside
+    # the grammar go last, by their text: level 0, an upper-case letter, a fifth field
+    ordered = ["9.2.a.z", "9.2.a.ba", "9.2.b.a", "10.2.a.a", "0.2.a.a", "49.2.C.a", "49.2.c.a.x", "not-a-label"]
     assert sorted(reversed(ordered), key=pipeline._label_sort_key) == ordered
-    rows = scan(SRC, 7, labels=["not-a-label", "10.2.a.a", "9.2.a.ba", "9.2.b.a", "9.2.a.z"])
+    rows = scan(SRC, 7, labels=list(reversed(ordered)))
     assert [r["label"] for r in rows] == ordered
     assert all("error" in r for r in rows)  # none of them is a fixture
+
+
+def test_a_fixture_file_outside_the_label_grammar_is_an_error_sorted_last(tmp_path):
+    # 49.2.C.a names level 49 and weight 2, but orbit letters are lower case
+    for path in fixture_dir().glob("*.json"):
+        shutil.copy(path, tmp_path)
+    data = json.loads((tmp_path / "49.2.c.a.json").read_text())
+    (tmp_path / "49.2.C.a.json").write_text(json.dumps(dict(data, label="49.2.C.a")))
+    src = DataSource(mode="fixtures", fixtures=tmp_path)
+    errors = []
+    assert query_candidates(src, {"dimension": 2}, errors) == query_candidates(SRC, {"dimension": 2})
+    assert errors == [{"label": "49.2.C.a", "error": "ValueError: 49.2.C.a: malformed newform label"}]
+    error = {"label": "49.2.C.a", "error": "LabelSyntaxError: malformed newform label: '49.2.C.a'"}
+    assert scan(src, 7, level_max=189) == scan(SRC, 7, level_max=189) + [error]
 
 
 def test_scan_turns_analysis_failures_into_error_rows(tmp_path):
